@@ -73,8 +73,9 @@ mesh_stage() {
   ./build/examples/mesh_demo --seed=20030623 --port=7841
   step "mesh: scaling bench — node sweep + steal gates, JSON must validate"
   ./build/bench/ext_cluster_scaling --jobs=160 \
-      --out=BENCH_cluster_scaling.json > /dev/null
-  python3 -m json.tool BENCH_cluster_scaling.json > /dev/null
+      --out=check_cluster_scaling.json > /dev/null
+  python3 -m json.tool check_cluster_scaling.json > /dev/null
+  rm -f check_cluster_scaling.json
 }
 
 if [ "$mesh_only" = 1 ]; then

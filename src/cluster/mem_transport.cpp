@@ -7,85 +7,58 @@
 namespace cluster {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// Per-node inbox shared by all endpoints of one fabric.
 struct Inbox {
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<std::pair<Clock::time_point, std::vector<std::uint8_t>>> queue;
-};
-
-struct Fabric {
-  std::vector<Inbox> inboxes;
-  std::chrono::microseconds latency{0};
-  explicit Fabric(int n) : inboxes(static_cast<std::size_t>(n)) {}
+  std::deque<std::vector<std::uint8_t>> queue;
 };
 
 class MemoryEndpoint final : public Transport {
  public:
-  MemoryEndpoint(std::shared_ptr<Fabric> fabric, int id)
-      : fabric_(std::move(fabric)), id_(id) {}
+  MemoryEndpoint(std::shared_ptr<std::vector<Inbox>> inboxes, int id)
+      : inboxes_(std::move(inboxes)), id_(id) {}
 
   void send(int dst, std::vector<std::uint8_t> frame) override {
-    Inbox& inbox = fabric_->inboxes[static_cast<std::size_t>(dst)];
-    const auto deliver_at = Clock::now() + fabric_->latency;
+    Inbox& inbox = (*inboxes_)[static_cast<std::size_t>(dst)];
     {
       std::lock_guard lock(inbox.mu);
-      inbox.queue.emplace_back(deliver_at, std::move(frame));
+      inbox.queue.push_back(std::move(frame));
     }
     inbox.cv.notify_one();
   }
 
   bool recv(std::vector<std::uint8_t>& frame,
             std::chrono::microseconds timeout) override {
-    Inbox& inbox = fabric_->inboxes[static_cast<std::size_t>(id_)];
+    Inbox& inbox = (*inboxes_)[static_cast<std::size_t>(id_)];
     std::unique_lock lock(inbox.mu);
-    const auto deadline = Clock::now() + timeout;
-    for (;;) {
-      if (!inbox.queue.empty()) {
-        const auto deliver_at = inbox.queue.front().first;
-        if (deliver_at <= Clock::now()) {
-          frame = std::move(inbox.queue.front().second);
-          inbox.queue.pop_front();
-          return true;
-        }
-        // Head not due yet (simulated latency): wait for its due time,
-        // but never beyond the caller's deadline.
-        const auto until = deliver_at < deadline ? deliver_at : deadline;
-        inbox.cv.wait_until(lock, until);
-      } else {
-        if (inbox.cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-            inbox.queue.empty())
-          return false;
-      }
-      if (Clock::now() >= deadline && inbox.queue.empty()) return false;
-      if (Clock::now() >= deadline && !inbox.queue.empty() &&
-          inbox.queue.front().first > Clock::now())
-        return false;
-    }
+    if (!inbox.cv.wait_for(lock, timeout,
+                           [&] { return !inbox.queue.empty(); }))
+      return false;
+    frame = std::move(inbox.queue.front());
+    inbox.queue.pop_front();
+    return true;
   }
 
   [[nodiscard]] int node_id() const override { return id_; }
   [[nodiscard]] int node_count() const override {
-    return static_cast<int>(fabric_->inboxes.size());
+    return static_cast<int>(inboxes_->size());
   }
 
  private:
-  std::shared_ptr<Fabric> fabric_;
+  std::shared_ptr<std::vector<Inbox>> inboxes_;
   int id_;
 };
 
 }  // namespace
 
-std::vector<std::unique_ptr<Transport>> make_memory_fabric(
-    int n, std::chrono::microseconds latency) {
-  auto fabric = std::make_shared<Fabric>(n);
-  fabric->latency = latency;
+std::vector<std::unique_ptr<Transport>> make_memory_fabric(int n) {
+  auto inboxes =
+      std::make_shared<std::vector<Inbox>>(static_cast<std::size_t>(n));
   std::vector<std::unique_ptr<Transport>> endpoints;
   endpoints.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    endpoints.push_back(std::make_unique<MemoryEndpoint>(fabric, i));
+    endpoints.push_back(std::make_unique<MemoryEndpoint>(inboxes, i));
   return endpoints;
 }
 

@@ -225,8 +225,6 @@ void MeshRouter::pump() {
             mark_seen_locked(d.msg.ping.from, Clock::now());
             break;
           }
-          case MsgType::kShutdown:
-            return;
           default:
             break;
         }

@@ -34,20 +34,6 @@ std::vector<std::uint8_t> encode_body(const Message& msg) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(msg.type));
   switch (msg.type) {
-    case MsgType::kTaskShip:
-      w.u32(msg.task.origin);
-      w.u64(msg.task.task_id);
-      w.str(msg.task.function);
-      w.bytes(msg.task.payload);
-      break;
-    case MsgType::kResult:
-      w.u64(msg.result.task_id);
-      w.u8(msg.result.ok ? 1 : 0);
-      w.bytes(msg.result.payload);
-      break;
-    case MsgType::kStealRequest:
-      w.u32(msg.steal.requester);
-      break;
     case MsgType::kJobSubmit:
       write_job_submit(w, msg.job_submit);
       break;
@@ -101,9 +87,6 @@ std::vector<std::uint8_t> encode_body(const Message& msg) {
       w.u32(msg.job_started.node);
       w.u64(msg.job_started.request_id);
       break;
-    case MsgType::kStealNone:
-    case MsgType::kShutdown:
-      break;
   }
   return w.take();
 }
@@ -115,20 +98,6 @@ Message decode_body(std::span<const std::uint8_t> body) {
   Message msg;
   msg.type = static_cast<MsgType>(r.u8());
   switch (msg.type) {
-    case MsgType::kTaskShip:
-      msg.task.origin = r.u32();
-      msg.task.task_id = r.u64();
-      msg.task.function = r.str();
-      msg.task.payload = r.bytes();
-      break;
-    case MsgType::kResult:
-      msg.result.task_id = r.u64();
-      msg.result.ok = r.u8() != 0;
-      msg.result.payload = r.bytes();
-      break;
-    case MsgType::kStealRequest:
-      msg.steal.requester = r.u32();
-      break;
     case MsgType::kJobSubmit:
       msg.job_submit = read_job_submit(r);
       break;
@@ -188,9 +157,6 @@ Message decode_body(std::span<const std::uint8_t> body) {
     case MsgType::kJobStarted:
       msg.job_started.node = r.u32();
       msg.job_started.request_id = r.u64();
-      break;
-    case MsgType::kStealNone:
-    case MsgType::kShutdown:
       break;
     default:
       throw std::runtime_error("unknown cluster message type");
@@ -265,42 +231,6 @@ Message decode(std::span<const std::uint8_t> frame) {
   DecodeResult r = decode_frame(frame);
   if (!r.ok) throw std::runtime_error(r.diagnostic);
   return std::move(r.msg);
-}
-
-Message make_task_ship(std::uint32_t origin, std::uint64_t task_id,
-                       std::string function,
-                       std::vector<std::uint8_t> payload) {
-  Message m;
-  m.type = MsgType::kTaskShip;
-  m.task = {origin, task_id, std::move(function), std::move(payload)};
-  return m;
-}
-
-Message make_result(std::uint64_t task_id, bool ok,
-                    std::vector<std::uint8_t> payload) {
-  Message m;
-  m.type = MsgType::kResult;
-  m.result = {task_id, ok, std::move(payload)};
-  return m;
-}
-
-Message make_steal_request(std::uint32_t requester) {
-  Message m;
-  m.type = MsgType::kStealRequest;
-  m.steal = {requester};
-  return m;
-}
-
-Message make_steal_none() {
-  Message m;
-  m.type = MsgType::kStealNone;
-  return m;
-}
-
-Message make_shutdown() {
-  Message m;
-  m.type = MsgType::kShutdown;
-  return m;
 }
 
 Message make_job_submit(std::uint32_t client, std::uint64_t request_id,

@@ -1,5 +1,6 @@
-// Cluster wire protocol: the messages nodes exchange to ship tasks,
-// return results and balance load (inter-node work stealing).
+// Cluster wire protocol: the frames serve clients, mesh routers and mesh
+// nodes exchange to submit jobs, return results, pull telemetry and move
+// queued jobs between nodes.
 #pragma once
 
 #include <cstdint>
@@ -11,11 +12,7 @@
 namespace cluster {
 
 enum class MsgType : std::uint8_t {
-  kTaskShip = 1,   ///< a task descriptor migrates to the receiver
-  kResult = 2,     ///< result of a shipped task, sent to its origin
-  kStealRequest = 3,  ///< "I am idle, send me work"
-  kStealNone = 4,     ///< negative steal reply
-  kShutdown = 5,      ///< cluster is terminating
+  // Bytes 1-5 belonged to the retired task-shipping protocol: never reuse.
   kJobSubmit = 6,  ///< client -> serve front-end: run a registered fn
   kJobDone = 7,    ///< serve front-end -> client: the job resolved
   kStatsQuery = 8,  ///< client -> serve front-end: telemetry exposition?
@@ -29,27 +26,7 @@ enum class MsgType : std::uint8_t {
   kJobStarted = 16,  ///< mesh node -> router: the job body is about to run
 };
 
-/// A task that can cross node boundaries: function *by name* (both sides
-/// must register it) plus an opaque byte payload. `origin`/`task_id`
-/// identify where the result must return.
-struct TaskShipMsg {
-  std::uint32_t origin = 0;
-  std::uint64_t task_id = 0;
-  std::string function;
-  std::vector<std::uint8_t> payload;
-};
-
-struct ResultMsg {
-  std::uint64_t task_id = 0;
-  bool ok = true;
-  std::vector<std::uint8_t> payload;  ///< result bytes, or error text
-};
-
-struct StealRequestMsg {
-  std::uint32_t requester = 0;
-};
-
-/// A serve-layer job submission: function by name (like kTaskShip) plus
+/// A serve-layer job submission: function by name (see Registry) plus
 /// the scheduling metadata of anahy::serve::JobSpec. `client`/`request_id`
 /// say where and under which correlation id the kJobDone reply goes.
 struct JobSubmitMsg {
@@ -169,12 +146,10 @@ struct JobStartedMsg {
   std::uint64_t request_id = 0;  ///< the submit's correlation id
 };
 
-/// Tagged union of everything that can arrive at a node.
+/// Tagged union of everything that can arrive at a node. The default type
+/// byte 0 names no message, so decoding an encoded default is rejected.
 struct Message {
-  MsgType type = MsgType::kShutdown;
-  TaskShipMsg task;
-  ResultMsg result;
-  StealRequestMsg steal;
+  MsgType type{};
   JobSubmitMsg job_submit;
   JobDoneMsg job_done;
   StatsQueryMsg stats_query;
@@ -236,15 +211,6 @@ struct DecodeResult {
 /// thread must drop a bad frame, not die.
 [[nodiscard]] Message decode(std::span<const std::uint8_t> frame);
 
-[[nodiscard]] Message make_task_ship(std::uint32_t origin,
-                                     std::uint64_t task_id,
-                                     std::string function,
-                                     std::vector<std::uint8_t> payload);
-[[nodiscard]] Message make_result(std::uint64_t task_id, bool ok,
-                                  std::vector<std::uint8_t> payload);
-[[nodiscard]] Message make_steal_request(std::uint32_t requester);
-[[nodiscard]] Message make_steal_none();
-[[nodiscard]] Message make_shutdown();
 [[nodiscard]] Message make_job_submit(std::uint32_t client,
                                       std::uint64_t request_id,
                                       std::uint8_t priority,

@@ -130,9 +130,6 @@ void ServeFrontEnd::pump() {
         link_->last_reject = std::move(d.diagnostic);
       } else {
         switch (d.msg.type) {
-          case MsgType::kShutdown:
-            shutdown_seen_.store(true, std::memory_order_relaxed);
-            return;
           case MsgType::kStatsQuery:
             handle_stats_query(d.msg.stats_query);
             break;

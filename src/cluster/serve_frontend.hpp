@@ -215,12 +215,6 @@ class ServeFrontEnd {
     return rejuv_forwards_.load(std::memory_order_relaxed);
   }
 
-  /// True once a kShutdown frame stopped the pump (multi-process workers
-  /// poll this to know when to exit).
-  [[nodiscard]] bool received_shutdown() const {
-    return shutdown_seen_.load(std::memory_order_relaxed);
-  }
-
   /// Microseconds since `client` last proved liveness here (submit, pong,
   /// stats query, rejuvenate or ping); -1 when never heard from. The mesh
   /// start fence reads this to decide whether the submitting router is
@@ -295,7 +289,6 @@ class ServeFrontEnd {
   std::atomic<std::uint64_t> clients_reaped_{0};
   std::atomic<std::uint64_t> replica_hits_{0};
   std::atomic<std::uint64_t> rejuv_forwards_{0};
-  std::atomic<bool> shutdown_seen_{false};
   std::uint64_t ping_token_ = 0;  // pump thread only
   std::thread pump_;
 };

@@ -1,8 +1,8 @@
 // Node-to-node transport abstraction.
 //
 // The paper's architecture-dependent layer uses "MPI or sockets" between
-// nodes. Two implementations ship here: an in-memory fabric (fast,
-// deterministic, optional simulated latency) and a real TCP loopback mesh.
+// nodes. Implementations ship here: an in-memory fabric (fast,
+// deterministic) and real TCP meshes, blocking and event-loop.
 #pragma once
 
 #include <chrono>
@@ -31,10 +31,10 @@ class Transport {
   [[nodiscard]] virtual int node_count() const = 0;
 };
 
-/// Builds an `n`-node in-memory fabric. `latency` delays each delivery
-/// (0 = immediate). Endpoint i is the transport of node i.
-std::vector<std::unique_ptr<Transport>> make_memory_fabric(
-    int n, std::chrono::microseconds latency = std::chrono::microseconds{0});
+/// Builds an `n`-node in-memory fabric; frames are delivered immediately
+/// (inject delay with anahy::fault::FaultyTransport). Endpoint i is the
+/// transport of node i.
+std::vector<std::unique_ptr<Transport>> make_memory_fabric(int n);
 
 /// Builds an `n`-node mesh of real TCP connections over 127.0.0.1, all
 /// endpoints in this process. Throws std::runtime_error on socket errors.

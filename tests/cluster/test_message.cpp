@@ -3,42 +3,55 @@
 #include <gtest/gtest.h>
 
 #include "anahy/types.hpp"
+#include "compress/crc32.hpp"
 
 namespace {
 
 using namespace cluster;
 
-TEST(Message, TaskShipRoundTrip) {
+/// A validly enveloped frame around an arbitrary body, so tests can put
+/// bytes on the wire that encode() would never produce.
+std::vector<std::uint8_t> enveloped(const std::vector<std::uint8_t>& body) {
+  ByteWriter w;
+  w.u16(kFrameMagic);
+  w.u8(kFrameVersion);
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.u32(compress::crc32(body));
+  std::vector<std::uint8_t> frame = w.take();
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
+}
+
+TEST(Message, JobSubmitRoundTrip) {
   const std::vector<std::uint8_t> payload = {9, 8, 7};
-  const Message m = make_task_ship(3, 42, "compress_chunk", payload);
+  const Message m = make_job_submit(3, 42, /*priority=*/2,
+                                    /*timeout_ns=*/5'000, /*check=*/true,
+                                    "compress_chunk", payload);
   const Message d = decode(encode(m));
-  EXPECT_EQ(d.type, MsgType::kTaskShip);
-  EXPECT_EQ(d.task.origin, 3u);
-  EXPECT_EQ(d.task.task_id, 42u);
-  EXPECT_EQ(d.task.function, "compress_chunk");
-  EXPECT_EQ(d.task.payload, payload);
+  EXPECT_EQ(d.type, MsgType::kJobSubmit);
+  EXPECT_EQ(d.job_submit.client, 3u);
+  EXPECT_EQ(d.job_submit.request_id, 42u);
+  EXPECT_EQ(d.job_submit.priority, 2);
+  EXPECT_EQ(d.job_submit.timeout_ns, 5'000);
+  EXPECT_EQ(d.job_submit.check, 1);
+  EXPECT_EQ(d.job_submit.function, "compress_chunk");
+  EXPECT_EQ(d.job_submit.payload, payload);
 }
 
 TEST(Message, ResultRoundTripOkAndError) {
-  const Message ok = decode(encode(make_result(7, true, {1, 2})));
-  EXPECT_EQ(ok.type, MsgType::kResult);
-  EXPECT_TRUE(ok.result.ok);
-  EXPECT_EQ(ok.result.task_id, 7u);
+  const Message ok = decode(encode(make_job_done(7, anahy::kOk, 0, {1, 2})));
+  EXPECT_EQ(ok.type, MsgType::kJobDone);
+  EXPECT_EQ(ok.job_done.error, static_cast<std::uint32_t>(anahy::kOk));
+  EXPECT_EQ(ok.job_done.request_id, 7u);
+  EXPECT_EQ(ok.job_done.payload, (std::vector<std::uint8_t>{1, 2}));
 
   const std::string error = "unregistered function";
-  const Message bad = decode(encode(
-      make_result(8, false, {error.begin(), error.end()})));
-  EXPECT_FALSE(bad.result.ok);
-  EXPECT_EQ(std::string(bad.result.payload.begin(), bad.result.payload.end()),
-            error);
-}
-
-TEST(Message, ControlMessagesRoundTrip) {
-  EXPECT_EQ(decode(encode(make_steal_request(5))).type,
-            MsgType::kStealRequest);
-  EXPECT_EQ(decode(encode(make_steal_request(5))).steal.requester, 5u);
-  EXPECT_EQ(decode(encode(make_steal_none())).type, MsgType::kStealNone);
-  EXPECT_EQ(decode(encode(make_shutdown())).type, MsgType::kShutdown);
+  const Message bad = decode(encode(make_job_done(
+      8, anahy::kInvalid, 0, {error.begin(), error.end()})));
+  EXPECT_EQ(bad.job_done.error, static_cast<std::uint32_t>(anahy::kInvalid));
+  EXPECT_EQ(
+      std::string(bad.job_done.payload.begin(), bad.job_done.payload.end()),
+      error);
 }
 
 TEST(Message, StatsQueryRoundTrip) {
@@ -69,29 +82,41 @@ TEST(Message, RejectsTruncatedStatsReply) {
 TEST(Message, RejectsUnknownType) {
   const std::vector<std::uint8_t> junk = {99};
   EXPECT_THROW((void)decode(junk), std::runtime_error);
+  // Type bytes 1-5 (the retired task-shipping frames) and unassigned ones
+  // are malformed bodies even inside an intact envelope.
+  for (const int type : {0, 1, 2, 3, 4, 5, 17, 99}) {
+    const auto d = decode_frame(enveloped({static_cast<std::uint8_t>(type)}));
+    ASSERT_FALSE(d.ok) << type;
+    EXPECT_EQ(d.diagnostic.rfind(frame_diag::kMalformed, 0), 0u)
+        << d.diagnostic;
+  }
+  // The helper's envelope is byte-for-byte the one encode() writes.
+  const auto real = encode(make_stats_query(1, 2));
+  EXPECT_EQ(enveloped({real.begin() + kFrameHeaderBytes, real.end()}), real);
 }
 
 TEST(Message, RejectsTrailingGarbage) {
-  auto frame = encode(make_steal_none());
+  auto frame = encode(make_stats_query(1, 2));
   frame.push_back(0xFF);
   EXPECT_THROW((void)decode(frame), std::runtime_error);
 }
 
-TEST(Message, RejectsTruncatedTaskShip) {
-  auto frame = encode(make_task_ship(1, 2, "fn", {1, 2, 3, 4}));
+TEST(Message, RejectsTruncatedJobSubmit) {
+  auto frame = encode(make_job_submit(1, 2, 1, -1, false, "fn", {1, 2, 3, 4}));
   frame.resize(frame.size() - 3);
   EXPECT_THROW((void)decode(frame), std::runtime_error);
 }
 
 TEST(Message, EmptyPayloadIsLegal) {
-  const Message d = decode(encode(make_task_ship(0, 1, "noop", {})));
-  EXPECT_TRUE(d.task.payload.empty());
+  const Message d =
+      decode(encode(make_job_submit(0, 1, 1, -1, false, "noop", {})));
+  EXPECT_TRUE(d.job_submit.payload.empty());
 }
 
 // --- Hardened envelope: magic + version + length + CRC-32 ------------------
 
 TEST(Message, FrameCarriesTheMagicBytes) {
-  const auto frame = encode(make_steal_none());
+  const auto frame = encode(make_stats_query(1, 2));
   ASSERT_GE(frame.size(), kFrameHeaderBytes);
   // Little-endian u16 0xA4A1.
   EXPECT_EQ(frame[0], 0xA1);
@@ -102,7 +127,8 @@ TEST(Message, FrameCarriesTheMagicBytes) {
 TEST(Message, BitCorruptionTripsTheChecksum) {
   // Flip every single bit of the body in turn: CRC-32 must catch each one
   // (single-bit flips are its bread and butter).
-  const auto clean = encode(make_task_ship(1, 2, "fn", {1, 2, 3}));
+  const auto clean =
+      encode(make_job_submit(1, 2, 1, -1, false, "fn", {1, 2, 3}));
   for (std::size_t bit = kFrameHeaderBytes * 8; bit < clean.size() * 8;
        ++bit) {
     auto frame = clean;
@@ -115,7 +141,7 @@ TEST(Message, BitCorruptionTripsTheChecksum) {
 }
 
 TEST(Message, BadMagicIsRejectedAsNotAnAnahyFrame) {
-  auto frame = encode(make_steal_none());
+  auto frame = encode(make_stats_query(1, 2));
   frame[0] ^= 0xFF;
   const auto d = decode_frame(frame);
   ASSERT_FALSE(d.ok);
@@ -141,7 +167,7 @@ TEST(Message, ShortAndLengthMismatchedFramesAreTruncations) {
 }
 
 TEST(Message, UnsupportedVersionIsItsOwnDiagnostic) {
-  auto frame = encode(make_steal_none());
+  auto frame = encode(make_stats_query(1, 2));
   frame[2] = kFrameVersion + 1;
   const auto d = decode_frame(frame);
   ASSERT_FALSE(d.ok);

@@ -1,13 +1,16 @@
-// Multi-process cluster integration: spawns real worker processes (the
-// cluster_multiprocess example binary) and bootstraps a TCP cluster with
-// the coordinator running inside this test.
+// Multi-process cluster integration: the TCP bootstrap units, plus a run
+// of the mesh_demo example, which forks real worker processes, drives a
+// mesh over TCP under seeded link cuts and audits exactly-once.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <ctime>
 #include <string>
 
-#include "cluster/cluster_lib.hpp"
+#include "cluster/transport.hpp"
 
 #ifndef ANAHY_WORKER_BINARY
 #define ANAHY_WORKER_BINARY ""
@@ -42,50 +45,18 @@ TEST(TcpBootstrap, CoordinatorRejectsZeroNodes) {
   EXPECT_THROW((void)tcp_coordinator(0, 0), std::invalid_argument);
 }
 
-TEST(MultiProcessCluster, BootstrapForkJoinShutdown) {
-  const std::string worker_bin = ANAHY_WORKER_BINARY;
-  if (worker_bin.empty() || std::system(nullptr) == 0)
-    GTEST_SKIP() << "worker binary unavailable";
+TEST(MultiProcessCluster, MeshDemoExactlyOnceAudit) {
+  const std::string demo_bin = ANAHY_WORKER_BINARY;
+  if (demo_bin.empty() || std::system(nullptr) == 0)
+    GTEST_SKIP() << "mesh_demo binary unavailable";
 
-  const std::uint16_t port = pick_port();
-  const std::string launch = worker_bin + " --role=worker --port=" +
-                             std::to_string(port) +
-                             " > /dev/null 2>&1 &";
-  ASSERT_EQ(std::system(launch.c_str()), 0);
-  ASSERT_EQ(std::system(launch.c_str()), 0);
-
-  // Coordinator in-process. The workers register "gzip_chunk" (a real
-  // gzip member producer); fork tasks under that name and check that the
-  // members inflate back to the payloads.
-  auto reg = std::make_shared<Registry>();
-  reg->add("gzip_chunk", [](std::span<const std::uint8_t> in) {
-    // Local fallback identical in *shape* (this test only validates the
-    // remote path when a worker steals; either way the result is a valid
-    // frame per the registered function of whoever executes it).
-    return std::vector<std::uint8_t>(in.begin(), in.end());
-  });
-
-  ClusterNode::Options nopts;
-  nopts.num_vps = 1;
-  ClusterNode coordinator(tcp_coordinator(port, 3), reg, nopts);
-  EXPECT_EQ(coordinator.id(), 0);
-  EXPECT_EQ(coordinator.cluster_size(), 3);
-
-  // Ship explicitly to each worker so the remote path is definitely
-  // exercised (fork_on), then also fork locally-queued tasks.
-  std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
-  const auto id1 = coordinator.fork_on(1, "gzip_chunk", payload);
-  const auto id2 = coordinator.fork_on(2, "gzip_chunk", payload);
-  const auto out1 = coordinator.join(id1);
-  const auto out2 = coordinator.join(id2);
-  // The workers' gzip_chunk wraps the payload as a gzip member.
-  EXPECT_FALSE(out1.empty());
-  EXPECT_FALSE(out2.empty());
-  EXPECT_EQ(out1.size(), out2.size());
-  EXPECT_EQ(out1[0], 0x1F);  // gzip magic from the worker-side function
-  EXPECT_EQ(out1[1], 0x8B);
-
-  coordinator.broadcast_shutdown();
+  // Exit status 0 is the demo's audit: every job resolved kOk and the
+  // workers' execution counts sum to exactly the resolved jobs.
+  const std::string cmd = demo_bin + " --seed=20030623 --port=" +
+                          std::to_string(pick_port()) + " > /dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

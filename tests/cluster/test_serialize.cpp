@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "cluster/registry.hpp"
+
 namespace {
 
 using namespace cluster;
@@ -73,6 +77,20 @@ TEST(Serialize, RemainingTracksConsumption) {
   EXPECT_EQ(r.remaining(), 8u);
   (void)r.u32();
   EXPECT_EQ(r.remaining(), 4u);
+}
+
+TEST(ClusterRegistry, AddLookupAndDuplicates) {
+  Registry reg;
+  EXPECT_TRUE(reg.add("f", [](std::span<const std::uint8_t>) {
+    return std::vector<std::uint8_t>{};
+  }));
+  EXPECT_FALSE(reg.add("f", [](std::span<const std::uint8_t>) {
+    return std::vector<std::uint8_t>{1};
+  }));
+  EXPECT_TRUE(reg.contains("f"));
+  EXPECT_FALSE(reg.contains("g"));
+  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_THROW((void)reg.get("g"), std::out_of_range);
 }
 
 }  // namespace

@@ -120,15 +120,4 @@ INSTANTIATE_TEST_SUITE_P(Fabrics, FabricTest,
                            return std::string(info.param);
                          });
 
-TEST(MemoryFabric, SimulatedLatencyDelaysDelivery) {
-  auto fabric = make_memory_fabric(2, 30ms);
-  fabric[0]->send(1, {7});
-  std::vector<std::uint8_t> frame;
-  // Too early: nothing deliverable yet.
-  EXPECT_FALSE(fabric[1]->recv(frame, 5ms));
-  // Within the latency budget it arrives.
-  ASSERT_TRUE(fabric[1]->recv(frame, 500ms));
-  EXPECT_EQ(frame[0], 7);
-}
-
 }  // namespace

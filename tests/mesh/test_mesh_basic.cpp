@@ -15,6 +15,7 @@
 #include "cluster/mesh/mesh_node.hpp"
 #include "cluster/mesh/router.hpp"
 #include "cluster/message.hpp"
+#include "compress/crc32.hpp"
 
 namespace {
 
@@ -91,6 +92,20 @@ struct MeshRig {
   }
 };
 
+/// A validly enveloped frame of type byte 5, the retired kShutdown that
+/// once made a pump return. Hand-built: encode() cannot produce it.
+std::vector<std::uint8_t> retired_shutdown_frame() {
+  const std::vector<std::uint8_t> body = {5};
+  ByteWriter w;
+  w.u16(kFrameMagic);
+  w.u8(kFrameVersion);
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.u32(compress::crc32(body));
+  std::vector<std::uint8_t> frame = w.take();
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
+}
+
 TEST(MeshBasic, RouterResolvesEverySubmitAcrossNodes) {
   MeshRig rig;
   MeshRouter router(*rig.fabric[kRouterRank], rig.router_options());
@@ -158,6 +173,20 @@ TEST(MeshBasic, ReplicatedDoneCacheAnswersRetriesOnOtherNodes) {
   }));
   EXPECT_EQ(rig.total_executions(), 1u);
   EXPECT_EQ(rig.nodes[1]->frontend().replica_hits(), 1u);
+}
+
+TEST(MeshBasic, RouterIgnoresRetiredShutdownFrame) {
+  MeshRig rig;
+  MeshRouter router(*rig.fabric[kRouterRank], rig.router_options());
+  // A peer's type-5 frame reaches the router pump ahead of the submit.
+  rig.probe().send(kRouterRank, retired_shutdown_frame());
+  const std::uint64_t id = router.submit("echo", {7});
+  // Poll rather than wait(): a dead pump would never resolve the handle.
+  const auto until = std::chrono::steady_clock::now() + 5s;
+  while (!router.done(id) && std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(1ms);
+  ASSERT_TRUE(router.done(id)) << "router pump stopped";
+  EXPECT_EQ(router.wait(id).error, anahy::kOk);
 }
 
 TEST(MeshBasic, FrontEndAnswersPings) {

@@ -12,6 +12,8 @@
 #include <string>
 #include <thread>
 
+#include "compress/crc32.hpp"
+
 namespace {
 
 using namespace cluster;
@@ -350,6 +352,20 @@ std::vector<std::uint8_t> raw_submit_frame(std::uint32_t client,
                                 /*timeout_ns=*/-1, /*check=*/false, fn, {}));
 }
 
+/// A validly enveloped frame of type byte 5, the retired kShutdown that
+/// once made a pump return. Hand-built: encode() cannot produce it.
+std::vector<std::uint8_t> retired_shutdown_frame() {
+  const std::vector<std::uint8_t> body = {5};
+  ByteWriter w;
+  w.u16(kFrameMagic);
+  w.u8(kFrameVersion);
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.u32(compress::crc32(body));
+  std::vector<std::uint8_t> frame = w.take();
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
+}
+
 /// Receives kJobDone frames until one matches `request_id` (true) or
 /// `timeout` passes (false).
 bool raw_wait_done(Transport& t, std::uint64_t request_id,
@@ -572,6 +588,24 @@ TEST(ServeFrontend, GarbageFramesAreCountedAndSurvived) {
   EXPECT_EQ(reply.error, anahy::kOk);
   EXPECT_EQ(frontend.rejected_frames(), 3u);
   EXPECT_EQ(frontend.last_reject_diagnostic().rfind("ANAHY-F00", 0), 0u)
+      << frontend.last_reject_diagnostic();
+}
+
+TEST(ServeFrontend, RetiredShutdownFrameIsRejectedNotObeyed) {
+  auto fabric = make_memory_fabric(2);
+  Registry reg;
+  reg.add("sum_u32", sum_u32);
+  anahy::serve::JobServer server(anahy::serve::ServerOptions{});
+  ServeFrontEnd frontend(server, *fabric[0], reg);
+
+  // Any peer may send this frame; the server must keep answering.
+  fabric[1]->send(0, retired_shutdown_frame());
+  ServeClient client(*fabric[1], 0);
+  const auto reply = client.call("sum_u32", numbers_payload(10));
+  EXPECT_EQ(reply.error, anahy::kOk);
+  EXPECT_EQ(frontend.rejected_frames(), 1u);
+  EXPECT_EQ(frontend.last_reject_diagnostic().rfind(frame_diag::kMalformed, 0),
+            0u)
       << frontend.last_reject_diagnostic();
 }
 
