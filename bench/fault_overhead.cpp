@@ -17,8 +17,8 @@
 //     plain body serialization; `envelope_reject_per_sec` shows the
 //     rejection fast path (bad magic dies before the CRC).
 //
-//  C. Remote round-trip — sequential ServeClient::call() latency over the
-//     in-memory fabric, bare vs wrapped in a zero-probability
+//  C. Remote round-trip — sequential AsyncServeClient::call() latency over
+//     the in-memory fabric, bare vs wrapped in a zero-probability
 //     FaultyTransport (the injector's bookkeeping is the only delta).
 //
 // Emits BENCH_fault.json (override with --out=...).
@@ -153,7 +153,7 @@ double measure_remote(int calls, bool wrap_faulty) {
   if (wrap_faulty)
     endpoint = std::make_unique<anahy::fault::FaultyTransport>(
         std::move(endpoint), anahy::fault::FaultProfile{});
-  cluster::ServeClient client(*endpoint, /*server_node=*/0);
+  cluster::AsyncServeClient client(*endpoint, /*server_node=*/0);
 
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4};
   // Warm both sides (pool allocation, first-submission setup), untimed.

@@ -2,7 +2,7 @@
 //
 // Runs the paper's Fibonacci workload (one task per recursive branch, the
 // finest grain the runtime supports) under the lock-free work-stealing
-// policy and the mutex-based baseline it replaced, at 1/2/4 VPs, and
+// policy at 1/2/4 VPs, and
 // reports tasks/second plus the scheduler counters that explain the result
 // (steal rate vs LIFO depth, join inlining, eventcount wakeups). Emits
 // machine-readable results to BENCH_spawn.json (override with --out=...).
@@ -21,7 +21,6 @@
 namespace {
 
 struct Result {
-  std::string policy;
   int vps = 0;
   double best_seconds = 0;   // best of reps: least-noise throughput estimate
   double mean_seconds = 0;
@@ -29,9 +28,8 @@ struct Result {
   anahy::RuntimeStats::Snapshot stats;  // from the last rep
 };
 
-Result run_config(anahy::PolicyKind policy, int vps, long fib_n, int reps) {
+Result run_config(int vps, long fib_n, int reps) {
   Result r;
-  r.policy = to_string(policy);
   r.vps = vps;
   const long tasks = apps::fib_task_count(fib_n);
   double total = 0;
@@ -39,7 +37,7 @@ Result run_config(anahy::PolicyKind policy, int vps, long fib_n, int reps) {
   for (int rep = 0; rep < reps; ++rep) {
     anahy::Options o;
     o.num_vps = vps;
-    o.policy = policy;
+    o.policy = anahy::PolicyKind::kWorkStealing;
     anahy::Runtime rt(o);
     // Warm the pools/TLBs with a tiny run before timing.
     (void)apps::fib_anahy(rt, 5);
@@ -47,8 +45,7 @@ Result run_config(anahy::PolicyKind policy, int vps, long fib_n, int reps) {
     const long got = apps::fib_anahy(rt, fib_n);
     const double s = t.elapsed_seconds();
     if (got != apps::fib_sequential(fib_n)) {
-      std::fprintf(stderr, "FATAL: wrong fib result under %s/%d vps\n",
-                   r.policy.c_str(), vps);
+      std::fprintf(stderr, "FATAL: wrong fib result at %d vps\n", vps);
       std::exit(1);
     }
     total += s;
@@ -86,7 +83,7 @@ void write_json(const std::string& path, long fib_n, int reps,
         "\"joins_inlined\": %llu, \"joins_helped\": %llu, "
         "\"joins_slept\": %llu, \"ready_peak\": %llu, "
         "\"wakeups\": %llu, \"wakeups_skipped\": %llu}%s\n",
-        r.policy.c_str(), r.vps, r.tasks_per_sec, r.best_seconds,
+        "steal", r.vps, r.tasks_per_sec, r.best_seconds,
         r.mean_seconds, static_cast<unsigned long long>(s.steals),
         static_cast<unsigned long long>(s.steal_attempts),
         static_cast<unsigned long long>(s.joins_inlined),
@@ -97,21 +94,7 @@ void write_json(const std::string& path, long fib_n, int reps,
         static_cast<unsigned long long>(s.wakeups_skipped),
         i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  // Speedup of the lock-free policy over the mutex baseline per VP count.
-  std::fprintf(f, "  \"speedup_vs_mutex\": {");
-  bool first = true;
-  for (const Result& r : results) {
-    if (r.policy != "steal") continue;
-    for (const Result& m : results) {
-      if (m.policy == "steal_mutex" && m.vps == r.vps) {
-        std::fprintf(f, "%s\"%d\": %.2f", first ? "" : ", ", r.vps,
-                     m.best_seconds / r.best_seconds);
-        first = false;
-      }
-    }
-  }
-  std::fprintf(f, "}\n}\n");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
 
@@ -128,36 +111,22 @@ int main(int argc, char** argv) {
               fib_n, apps::fib_task_count(fib_n), reps);
 
   std::vector<Result> results;
-  benchutil::Table table({"policy", "vps", "tasks/sec", "best s", "steals",
-                          "attempts", "inlined", "ready-peak", "wakeups",
-                          "skipped"});
-  for (const auto policy : {anahy::PolicyKind::kWorkStealing,
-                            anahy::PolicyKind::kWorkStealingMutex}) {
-    for (const int vps : {1, 2, 4}) {
-      const Result r = run_config(policy, vps, fib_n, reps);
-      results.push_back(r);
-      table.add_row({r.policy, std::to_string(r.vps),
-                     benchutil::Table::num(r.tasks_per_sec),
-                     benchutil::Table::num(r.best_seconds),
-                     std::to_string(r.stats.steals),
-                     std::to_string(r.stats.steal_attempts),
-                     std::to_string(r.stats.joins_inlined),
-                     std::to_string(r.stats.ready_peak),
-                     std::to_string(r.stats.wakeups),
-                     std::to_string(r.stats.wakeups_skipped)});
-    }
+  benchutil::Table table({"vps", "tasks/sec", "best s", "steals", "attempts",
+                          "inlined", "ready-peak", "wakeups", "skipped"});
+  for (const int vps : {1, 2, 4}) {
+    const Result r = run_config(vps, fib_n, reps);
+    results.push_back(r);
+    table.add_row({std::to_string(r.vps),
+                   benchutil::Table::num(r.tasks_per_sec),
+                   benchutil::Table::num(r.best_seconds),
+                   std::to_string(r.stats.steals),
+                   std::to_string(r.stats.steal_attempts),
+                   std::to_string(r.stats.joins_inlined),
+                   std::to_string(r.stats.ready_peak),
+                   std::to_string(r.stats.wakeups),
+                   std::to_string(r.stats.wakeups_skipped)});
   }
   std::printf("%s\n", table.to_text().c_str());
-
-  for (const Result& r : results) {
-    if (r.policy != "steal") continue;
-    for (const Result& m : results) {
-      if (m.policy == "steal_mutex" && m.vps == r.vps) {
-        std::printf("vps=%d: lock-free %.2fx vs mutex baseline\n", r.vps,
-                    m.best_seconds / r.best_seconds);
-      }
-    }
-  }
 
   write_json(out, fib_n, reps, results);
   std::printf("wrote %s\n", out.c_str());

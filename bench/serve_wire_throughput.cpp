@@ -5,14 +5,14 @@
 // Three legs, one server (JobServer + ServeFrontEnd on node 0), same
 // registered spin job and the same client count throughout:
 //
-//  1. blocking    — TCP fabric of blocking TcpEndpoints, one ServeClient
-//     per client node, synchronous call() loops. One request in flight
-//     per client: the transport the serve stack shipped on before the
-//     event loop, and the latency yardstick.
-//  2. epoll_sync  — same topology on the epoll fabric, AsyncServeClient
-//     used synchronously (window of 1). Isolates the reactor's latency:
-//     its p99 must not regress the blocking baseline at matched
-//     concurrency.
+//  1. blocking    — TCP fabric of blocking TcpEndpoints, one
+//     AsyncServeClient per client node used synchronously (window of 1).
+//     One request in flight per client: the transport the serve stack
+//     shipped on before the event loop, and the latency yardstick.
+//  2. epoll_sync  — the same clients and window on the epoll fabric. It
+//     differs from leg 1 only in the transport, which isolates the
+//     reactor's latency: its p99 must not regress the blocking baseline
+//     at matched concurrency.
 //  3. epoll_async — the same async clients each keeping a window of
 //     requests in flight. Requests coalesce into writev batches on the
 //     shared sockets; this is the throughput headline, reported with
@@ -159,52 +159,11 @@ cluster::WireCounters sum_wire(
   std::exit(1);
 }
 
-/// Leg 1: blocking TCP fabric, synchronous ServeClient per client node.
-LegResult run_blocking(int clients, int jobs) {
-  auto fabric = cluster::make_tcp_fabric(clients + 1);
-  cluster::Registry reg;
-  reg.add("spin_echo", spin_echo);
-  anahy::serve::ServerOptions so;
-  so.runtime.num_vps = kVps;
-  anahy::serve::JobServer server(std::move(so));
-  cluster::ServeFrontEnd frontend(server, *fabric[0], reg);
-
-  LegResult out;
-  std::vector<std::pair<anahy::Priority, double>> all;
-  std::mutex mu;
-  benchutil::Timer wall;
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (int t = 0; t < clients; ++t) {
-    threads.emplace_back([&, t] {
-      cluster::ServeClient client(*fabric[static_cast<std::size_t>(t + 1)],
-                                  0);
-      std::vector<std::pair<anahy::Priority, double>> ms;
-      ms.reserve(jobs);
-      const std::vector<std::uint8_t> payload(32,
-                                              static_cast<std::uint8_t>(t));
-      for (int i = 0; i < jobs; ++i) {
-        const anahy::Priority cls = mix(t + i);
-        const std::int64_t t0 = now_ns();
-        const auto r = client.call("spin_echo", payload, {}, cls);
-        if (r.error != anahy::kOk) die("blocking call failed");
-        ms.emplace_back(cls, static_cast<double>(now_ns() - t0) / 1e6);
-      }
-      std::lock_guard lock(mu);
-      all.insert(all.end(), ms.begin(), ms.end());
-    });
-  }
-  for (auto& th : threads) th.join();
-  const double seconds = wall.elapsed_seconds();
-  out.jobs_per_sec = static_cast<double>(clients) * jobs / seconds;
-  finish_latency(all, out);
-  return out;
-}
-
-/// Legs 2 and 3: epoll fabric, AsyncServeClient per client node, each
-/// keeping `window` requests in flight (window 1 = synchronous use).
-LegResult run_epoll(int clients, int jobs, int window) {
-  auto fabric = cluster::make_epoll_fabric(clients + 1);
+/// One leg: `fabric` (node 0 serves, nodes 1..clients submit), an
+/// AsyncServeClient per client node, each keeping `window` requests in
+/// flight (window 1 = synchronous use).
+LegResult run_leg(std::vector<std::unique_ptr<cluster::Transport>> fabric,
+                  int clients, int jobs, int window) {
   cluster::Registry reg;
   reg.add("spin_echo", spin_echo);
   anahy::serve::ServerOptions so;
@@ -251,7 +210,7 @@ LegResult run_epoll(int clients, int jobs, int window) {
       while (submitted < std::min(window, jobs)) submit_one();
       for (int i = 0; i < jobs; ++i) {
         const auto r = futs[static_cast<std::size_t>(i)].get();
-        if (r.error != anahy::kOk) die("async call failed");
+        if (r.error != anahy::kOk) die("served call failed");
         ms[static_cast<std::size_t>(i)].second =
             static_cast<double>(now_ns() - t0[static_cast<std::size_t>(i)]) /
             1e6;
@@ -382,15 +341,18 @@ int main(int argc, char** argv) {
               "async window %d, %d VPs\n",
               clients, jobs, spin_us, window, kVps);
 
-  const LegResult blocking = run_blocking(clients, jobs);
+  const LegResult blocking =
+      run_leg(cluster::make_tcp_fabric(clients + 1), clients, jobs, 1);
   std::printf("blocking    : %9.0f jobs/s  p50 %.3fms  p99 %.3fms\n",
               blocking.jobs_per_sec, blocking.p50_ms, blocking.p99_ms);
 
-  const LegResult epoll_sync = run_epoll(clients, jobs, 1);
+  const LegResult epoll_sync =
+      run_leg(cluster::make_epoll_fabric(clients + 1), clients, jobs, 1);
   std::printf("epoll sync  : %9.0f jobs/s  p50 %.3fms  p99 %.3fms\n",
               epoll_sync.jobs_per_sec, epoll_sync.p50_ms, epoll_sync.p99_ms);
 
-  const LegResult epoll_async = run_epoll(clients, jobs, window);
+  const LegResult epoll_async =
+      run_leg(cluster::make_epoll_fabric(clients + 1), clients, jobs, window);
   std::printf("epoll async : %9.0f jobs/s  p50 %.3fms  p99 %.3fms\n",
               epoll_async.jobs_per_sec, epoll_async.p50_ms,
               epoll_async.p99_ms);

@@ -18,8 +18,6 @@ Options Options::from_env() {
     if (s == "fifo") opts.policy = PolicyKind::kFifo;
     else if (s == "lifo") opts.policy = PolicyKind::kLifo;
     else if (s == "steal") opts.policy = PolicyKind::kWorkStealing;
-    else if (s == "steal_mutex" || s == "steal-mutex")
-      opts.policy = PolicyKind::kWorkStealingMutex;
   }
   if (const char* v = std::getenv("ANAHY_TRACE"))
     opts.trace = std::string_view{v} == "1";

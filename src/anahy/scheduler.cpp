@@ -5,7 +5,6 @@
 
 #include "anahy/check/detector.hpp"
 #include "anahy/policy_steal.hpp"
-#include "anahy/policy_steal_mutex.hpp"
 #include "anahy/task_pool.hpp"
 #include "anahy/trace_analysis.hpp"
 
@@ -418,7 +417,7 @@ void Scheduler::record_double_join(const Task& task) {
 }
 
 int Scheduler::join(const TaskPtr& task, void** result, int vp) {
-  stats_.on_join();
+  using JoinKind = RuntimeStats::JoinKind;
   if (!task) return kNotFound;
   if (on_current_stack(task.get())) return kDeadlock;
 
@@ -431,7 +430,7 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
     }
     if (s == TaskState::kFinished) {
       const int rc = try_consume(task, result);
-      if (rc == kOk) stats_.on_join_immediate();
+      if (rc == kOk) stats_.on_join(JoinKind::kImmediate);
       else if (rc == kNotFound) record_double_join(*task);
       return rc;
     }
@@ -457,7 +456,10 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
 
   const bool may_help =
       vp != SchedulingPolicy::kExternalVp || opts_.external_helps;
-  bool slept = false;
+  // What this join did while blocked; it picks the join's one category
+  // when the target is finally consumed.
+  bool ran_target = false;
+  bool ran_other = false;
   blocked_frames_.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     TaskState s = task->state();
@@ -471,20 +473,25 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
       unblocked_frames_.fetch_add(1, std::memory_order_relaxed);
       const int rc = try_consume(task, result);
       unblocked_frames_.fetch_sub(1, std::memory_order_relaxed);
-      if (rc == kNotFound) record_double_join(*task);
+      if (rc == kOk)
+        stats_.on_join(ran_target  ? JoinKind::kInlined
+                       : ran_other ? JoinKind::kHelped
+                                   : JoinKind::kSlept);
+      else if (rc == kNotFound)
+        record_double_join(*task);
       return rc;
     }
 
     if (may_help) {
       // 1) Join-inlining: claim the target itself out of the ready list.
       if (s == TaskState::kReady && policy_->remove_specific(task, vp)) {
-        stats_.on_join_inlined();
+        ran_target = true;
         run_task(task, vp);
         continue;
       }
       // 2) Help: run any other ready task while we wait.
       if (TaskPtr other = policy_->pop(vp)) {
-        stats_.on_join_helped();
+        ran_other = true;
         run_task(other, vp);
         continue;
       }
@@ -499,16 +506,11 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
       join_ec_.cancel_wait();
       continue;
     }
-    if (!slept) {
-      stats_.on_join_slept();
-      slept = true;
-    }
     join_ec_.commit_wait(e);
   }
 }
 
 int Scheduler::try_join(const TaskPtr& task, void** result) {
-  stats_.on_join();
   if (!task) return kNotFound;
   if (on_current_stack(task.get())) return kDeadlock;
   const TaskState s = task->state();
@@ -520,7 +522,7 @@ int Scheduler::try_join(const TaskPtr& task, void** result) {
   }
   if (s != TaskState::kFinished) return kBusy;
   const int rc = try_consume(task, result);
-  if (rc == kOk) stats_.on_join_immediate();
+  if (rc == kOk) stats_.on_join(RuntimeStats::JoinKind::kImmediate);
   return rc;
 }
 
@@ -641,9 +643,6 @@ void Scheduler::flush_profile() {
 RuntimeStats::Snapshot Scheduler::stats_snapshot() const {
   if (const auto* ws = dynamic_cast<const WorkStealingPolicy*>(policy_.get()))
     stats_.record_steals(ws->steals(), ws->steal_attempts());
-  else if (const auto* mws =
-               dynamic_cast<const MutexWorkStealingPolicy*>(policy_.get()))
-    stats_.record_steals(mws->steals(), mws->steal_attempts());
   stats_.record_wakeups(ready_ec_.wakeups() + join_ec_.wakeups(),
                         ready_ec_.wakeups_skipped() +
                             join_ec_.wakeups_skipped());

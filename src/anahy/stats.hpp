@@ -24,11 +24,13 @@ class RuntimeStats {
   struct Snapshot {
     std::uint64_t tasks_created = 0;
     std::uint64_t tasks_executed = 0;
+    /// Joins that consumed their target. Each one also counts in exactly
+    /// one of the four categories below (docs/SCHEDULER.md).
     std::uint64_t joins_total = 0;
-    std::uint64_t joins_immediate = 0;  ///< target already finished
-    std::uint64_t joins_inlined = 0;    ///< target pulled from ready & run inline
-    std::uint64_t joins_helped = 0;     ///< other tasks run while waiting
-    std::uint64_t joins_slept = 0;      ///< waits that actually blocked
+    std::uint64_t joins_immediate = 0;  ///< finished before the flow split
+    std::uint64_t joins_inlined = 0;    ///< joiner ran the target itself
+    std::uint64_t joins_helped = 0;     ///< ran other tasks while it waited
+    std::uint64_t joins_slept = 0;      ///< waited and ran nothing meanwhile
     std::uint64_t continuations = 0;    ///< logical T_i -> T_{i+1} splits
     std::uint64_t steals = 0;           ///< successful steals (steal policy)
     std::uint64_t steal_attempts = 0;
@@ -47,11 +49,13 @@ class RuntimeStats {
     bump(kTasksExecuted);
     if (by_main) bump(kTasksRunByMain);
   }
-  void on_join() { bump(kJoinsTotal); }
-  void on_join_immediate() { bump(kJoinsImmediate); }
-  void on_join_inlined() { bump(kJoinsInlined); }
-  void on_join_helped() { bump(kJoinsHelped); }
-  void on_join_slept() { bump(kJoinsSlept); }
+  /// The category of a join that consumed its target.
+  enum class JoinKind : unsigned { kImmediate, kInlined, kHelped, kSlept };
+  void on_join(JoinKind kind) {
+    bump(kJoinsTotal);
+    bump(static_cast<HotCounter>(kJoinsImmediate +
+                                 static_cast<unsigned>(kind)));
+  }
   void on_continuation() { bump(kContinuations); }
   void record_ready_len(std::uint64_t len) {
     std::uint64_t peak = ready_peak_.load(relaxed);

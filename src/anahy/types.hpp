@@ -78,10 +78,9 @@ inline constexpr std::size_t kNumPriorities = 3;
 
 /// Ready-list management strategies supported by the executive kernel.
 enum class PolicyKind : std::uint8_t {
-  kFifo,               ///< single centralized FIFO queue (breadth-first)
-  kLifo,               ///< single centralized LIFO stack (depth-first)
-  kWorkStealing,       ///< per-VP lock-free Chase-Lev deques (default)
-  kWorkStealingMutex,  ///< mutex-per-deque baseline (benchmark reference)
+  kFifo,          ///< single centralized FIFO queue (breadth-first)
+  kLifo,          ///< single centralized LIFO stack (depth-first)
+  kWorkStealing,  ///< per-VP lock-free Chase-Lev deques (default)
 };
 
 [[nodiscard]] constexpr const char* to_string(PolicyKind p) {
@@ -89,7 +88,6 @@ enum class PolicyKind : std::uint8_t {
     case PolicyKind::kFifo: return "fifo";
     case PolicyKind::kLifo: return "lifo";
     case PolicyKind::kWorkStealing: return "steal";
-    case PolicyKind::kWorkStealingMutex: return "steal_mutex";
   }
   return "?";
 }

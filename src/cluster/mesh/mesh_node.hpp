@@ -60,8 +60,8 @@ struct MeshNodeOptions {
   /// Transport ranks that speak the mesh router protocol: they receive
   /// kJobStarted marks and are expected to answer liveness. Clients not
   /// listed here are plain serve clients — the fence still applies to
-  /// them, but no start-marks are sent (a ServeClient would drop the
-  /// unknown frame on the floor at best).
+  /// them, but no start-marks are sent (an AsyncServeClient would drop
+  /// the unknown frame on the floor at best).
   std::vector<std::uint32_t> routers;
 
   /// Forwarded to the owned JobServer.

@@ -98,7 +98,7 @@ struct RouterCounters {
 
 class MeshRouter {
  public:
-  using Reply = ServeClient::Reply;
+  using Reply = AsyncServeClient::Reply;
 
   /// Starts the pump. `transport` must outlive the router; its node_id()
   /// is the client rank every node replies to.

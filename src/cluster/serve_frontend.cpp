@@ -1,13 +1,24 @@
 #include "cluster/serve_frontend.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <set>
 
 namespace cluster {
 
 using Clock = std::chrono::steady_clock;
+
+namespace {
+
+/// Waits for a kStatsReply-answered request; its text lands in `out`.
+int await_text(std::future<AsyncServeClient::Reply> fut, std::string& out) {
+  AsyncServeClient::Reply r = fut.get();
+  if (r.error != anahy::kOk) return r.error;
+  out = r.text();
+  return anahy::kOk;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- Link --
 
@@ -430,260 +441,6 @@ void ServeFrontEnd::handle_submit(JobSubmitMsg msg) {
   if (it != link_->inflight.end()) it->second = std::move(h);
 }
 
-// ----------------------------------------------------------- ServeClient --
-
-ServeClient::UseGuard::UseGuard(ServeClient& c) : c_(c) {
-  if (c_.busy_.exchange(true, std::memory_order_acquire)) {
-    std::fprintf(stderr,
-                 "anahy: ServeClient used from two threads concurrently; "
-                 "ServeClient is NOT thread-safe — use one client per "
-                 "transport endpoint\n");
-    std::abort();
-  }
-}
-
-ServeClient::UseGuard::~UseGuard() {
-  c_.busy_.store(false, std::memory_order_release);
-}
-
-std::uint64_t ServeClient::next_jitter(std::uint64_t bound_us) {
-  if (bound_us == 0) return 0;
-  // splitmix64: deterministic per-client jitter stream.
-  std::uint64_t z = (jitter_state_ += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  z ^= z >> 31;
-  return z % bound_us;
-}
-
-void ServeClient::send_submit(const std::string& function,
-                              const std::vector<std::uint8_t>& payload,
-                              std::uint64_t id, anahy::Priority priority,
-                              std::int64_t timeout_ns, bool check) {
-  transport_.send(
-      server_node_,
-      encode(make_job_submit(static_cast<std::uint32_t>(transport_.node_id()),
-                             id, static_cast<std::uint8_t>(priority),
-                             timeout_ns, check, function, payload)));
-}
-
-bool ServeClient::pump_one(std::chrono::microseconds timeout) {
-  std::vector<std::uint8_t> frame;
-  if (!transport_.recv(frame, timeout)) return false;
-  DecodeResult d = decode_frame(frame);
-  if (!d.ok) {
-    ++rejected_frames_;
-    return true;
-  }
-  switch (d.msg.type) {
-    case MsgType::kPing:
-      // Heartbeat probe from the front-end: echo the token back so it
-      // knows we are alive and keeps our jobs running.
-      try {
-        transport_.send(
-            server_node_,
-            encode(make_pong(static_cast<std::uint32_t>(transport_.node_id()),
-                             d.msg.ping.token)));
-      } catch (const std::exception&) {
-        // Server vanished mid-probe; the next call() will notice.
-      }
-      ++pings_answered_;
-      break;
-    case MsgType::kJobDone: {
-      const std::uint64_t id = d.msg.job_done.request_id;
-      if (consumed_.count(id) != 0 || ready_.count(id) != 0) {
-        ++duplicate_replies_;  // retransmit we no longer need
-        break;
-      }
-      Reply r;
-      r.error = static_cast<int>(d.msg.job_done.error);
-      r.races = d.msg.job_done.races;
-      r.payload = std::move(d.msg.job_done.payload);
-      ready_.emplace(id, std::move(r));
-      break;
-    }
-    case MsgType::kStatsReply:
-      stats_ready_[d.msg.stats_reply.request_id] =
-          std::move(d.msg.stats_reply.text);
-      break;
-    default:
-      break;  // not client traffic; drop
-  }
-  return true;
-}
-
-bool ServeClient::take_ready(std::uint64_t id, Reply& out) {
-  auto it = ready_.find(id);
-  if (it == ready_.end()) return false;
-  out = std::move(it->second);
-  ready_.erase(it);
-  // Remember the id so a late retransmission of this reply is dropped
-  // instead of resurfacing as a phantom result.
-  constexpr std::size_t kConsumedWindow = 1024;
-  if (consumed_.insert(id).second) {
-    consumed_order_.push_back(id);
-    while (consumed_order_.size() > kConsumedWindow) {
-      consumed_.erase(consumed_order_.front());
-      consumed_order_.pop_front();
-    }
-  }
-  return true;
-}
-
-std::uint64_t ServeClient::submit(const std::string& function,
-                                  std::vector<std::uint8_t> payload,
-                                  anahy::Priority priority,
-                                  std::int64_t timeout_ns, bool check) {
-  UseGuard guard(*this);
-  const std::uint64_t id = next_request_++;
-  send_submit(function, payload, id, priority, timeout_ns, check);
-  return id;
-}
-
-ServeClient::Reply ServeClient::call(const std::string& function,
-                                     std::vector<std::uint8_t> payload,
-                                     const CallOptions& copts,
-                                     anahy::Priority priority,
-                                     std::int64_t timeout_ns, bool check) {
-  UseGuard guard(*this);
-  const std::uint64_t id = next_request_++;
-  const auto deadline = Clock::now() + copts.deadline;
-  auto backoff = std::max(copts.initial_backoff, std::chrono::microseconds{1});
-  int attempts = 0;
-  Reply out;
-
-  for (;;) {
-    // (Re)send. The request id stays fixed across attempts — the server's
-    // dedup window turns retries into cache hits, not re-executions.
-    try {
-      send_submit(function, payload, id, priority, timeout_ns, check);
-      if (++attempts > 1) ++retries_;
-    } catch (const std::exception&) {
-      ++attempts;  // unreachable peer; count the attempt, keep backing off
-    }
-
-    // Wait out this attempt's backoff slice (bounded by the deadline),
-    // pumping replies as they arrive.
-    const auto jittered =
-        backoff + std::chrono::microseconds{next_jitter(
-                      static_cast<std::uint64_t>(backoff.count() / 4 + 1))};
-    const auto slice_end = std::min(deadline, Clock::now() + jittered);
-    for (;;) {
-      if (take_ready(id, out)) return out;
-      const auto now = Clock::now();
-      if (now >= slice_end) break;
-      pump_one(std::chrono::duration_cast<std::chrono::microseconds>(
-          slice_end - now));
-    }
-    if (take_ready(id, out)) return out;
-
-    if (Clock::now() >= deadline ||
-        (copts.max_attempts > 0 && attempts >= copts.max_attempts)) {
-      out.error = anahy::kUnreachable;
-      out.races = 0;
-      out.payload.clear();
-      return out;
-    }
-    backoff = std::min(backoff * 2, copts.max_backoff);
-  }
-}
-
-bool ServeClient::wait(std::uint64_t request_id, Reply& out,
-                       std::chrono::microseconds timeout) {
-  UseGuard guard(*this);
-  const auto deadline = Clock::now() + timeout;
-  for (;;) {
-    if (take_ready(request_id, out)) return true;
-    const auto now = Clock::now();
-    if (now >= deadline) return false;
-    pump_one(
-        std::chrono::duration_cast<std::chrono::microseconds>(deadline - now));
-  }
-}
-
-bool ServeClient::take_stats(std::uint64_t id, std::string& out) {
-  auto it = stats_ready_.find(id);
-  if (it == stats_ready_.end()) return false;
-  out = std::move(it->second);
-  stats_ready_.erase(it);
-  // A retransmitted query produces a second reply under the same id; it
-  // would linger forever once this one is consumed. Bound the buffer so
-  // stale stats replies cannot accumulate (oldest id evicted first).
-  constexpr std::size_t kStatsWindow = 64;
-  while (stats_ready_.size() > kStatsWindow)
-    stats_ready_.erase(stats_ready_.begin());
-  return true;
-}
-
-int ServeClient::text_request_impl(const std::vector<std::uint8_t>& frame,
-                                   std::uint64_t id, std::string& out,
-                                   const CallOptions& copts) {
-  const auto deadline = Clock::now() + copts.deadline;
-  auto backoff = std::max(copts.initial_backoff, std::chrono::microseconds{1});
-  int attempts = 0;
-
-  // Same envelope as call(): fixed id across attempts, capped exponential
-  // backoff + jitter, a definite kUnreachable on give-up. (A retried
-  // request re-executes server-side — both users are idempotent: a stats
-  // pull re-renders the exposition, a rejuvenate command cycles again —
-  // so at-least-once execution is harmless.)
-  for (;;) {
-    try {
-      transport_.send(server_node_, frame);
-      if (++attempts > 1) ++retries_;
-    } catch (const std::exception&) {
-      ++attempts;  // unreachable peer; count the attempt, keep backing off
-    }
-
-    const auto jittered =
-        backoff + std::chrono::microseconds{next_jitter(
-                      static_cast<std::uint64_t>(backoff.count() / 4 + 1))};
-    const auto slice_end = std::min(deadline, Clock::now() + jittered);
-    for (;;) {
-      if (take_stats(id, out)) return anahy::kOk;
-      const auto now = Clock::now();
-      if (now >= slice_end) break;
-      pump_one(std::chrono::duration_cast<std::chrono::microseconds>(
-          slice_end - now));
-    }
-    if (take_stats(id, out)) return anahy::kOk;
-
-    if (Clock::now() >= deadline ||
-        (copts.max_attempts > 0 && attempts >= copts.max_attempts))
-      return anahy::kUnreachable;
-    backoff = std::min(backoff * 2, copts.max_backoff);
-  }
-}
-
-int ServeClient::query_stats_impl(std::string& out, const CallOptions& copts) {
-  const std::uint64_t id = next_request_++;
-  const auto frame = encode(
-      make_stats_query(static_cast<std::uint32_t>(transport_.node_id()), id));
-  return text_request_impl(frame, id, out, copts);
-}
-
-int ServeClient::query_stats(std::string& out, const CallOptions& copts) {
-  UseGuard guard(*this);
-  return query_stats_impl(out, copts);
-}
-
-int ServeClient::rejuvenate(std::string& out, const CallOptions& copts,
-                            std::uint32_t target) {
-  UseGuard guard(*this);
-  const std::uint64_t id = next_request_++;
-  const auto frame = encode(make_rejuvenate(
-      static_cast<std::uint32_t>(transport_.node_id()), id, target));
-  return text_request_impl(frame, id, out, copts);
-}
-
-bool ServeClient::query_stats(std::string& out,
-                              std::chrono::microseconds timeout) {
-  UseGuard guard(*this);
-  CallOptions copts;
-  copts.deadline = timeout;
-  return query_stats_impl(out, copts) == anahy::kOk;
-}
-
 // ------------------------------------------------------ AsyncServeClient --
 
 AsyncServeClient::AsyncServeClient(Transport& transport, int server_node,
@@ -722,34 +479,25 @@ std::uint64_t AsyncServeClient::next_jitter_locked(std::uint64_t bound_us) {
   return z % bound_us;
 }
 
-std::future<AsyncServeClient::Reply> AsyncServeClient::submit_async(
-    const std::string& function, std::vector<std::uint8_t> payload,
-    const CallOptions& copts, anahy::Priority priority, std::int64_t timeout_ns,
-    bool check, Callback callback) {
-  // Reserve the id and encode under one lock so ids and frames agree.
-  std::vector<std::uint8_t> frame;
-  std::future<Reply> fut;
+std::future<AsyncServeClient::Reply> AsyncServeClient::start(
+    std::uint64_t id, std::vector<std::uint8_t> frame, const CallOptions& copts,
+    bool is_stats, Callback callback) {
   const auto now = Clock::now();
-  std::vector<std::uint8_t> wire_copy;
+  Pending p;
+  p.callback = std::move(callback);
+  p.deadline = now + copts.deadline;
+  p.backoff = std::max(copts.initial_backoff, std::chrono::microseconds{1});
+  p.max_backoff = copts.max_backoff;
+  p.max_attempts = copts.max_attempts;
+  p.is_stats = is_stats;
+  std::vector<std::uint8_t> wire_copy = frame;
+  p.frame = std::move(frame);
+  std::future<Reply> fut = p.promise.get_future();
   {
     std::lock_guard lock(mu_);
-    const std::uint64_t id = next_request_++;
-    frame = encode(make_job_submit(
-        static_cast<std::uint32_t>(transport_.node_id()), id,
-        static_cast<std::uint8_t>(priority), timeout_ns, check, function,
-        std::move(payload)));
-    Pending p;
-    p.callback = std::move(callback);
-    p.deadline = now + copts.deadline;
-    p.backoff = std::max(copts.initial_backoff, std::chrono::microseconds{1});
-    p.max_backoff = copts.max_backoff;
-    p.max_attempts = copts.max_attempts;
     const auto jitter = std::chrono::microseconds{next_jitter_locked(
         static_cast<std::uint64_t>(p.backoff.count() / 4 + 1))};
     p.next_resend = now + p.backoff + jitter;
-    p.frame = std::move(frame);
-    wire_copy = p.frame;
-    fut = p.promise.get_future();
     pending_.emplace(id, std::move(p));
   }
   try {
@@ -758,6 +506,19 @@ std::future<AsyncServeClient::Reply> AsyncServeClient::submit_async(
     // Unreachable peer: retransmit timers (or the deadline) settle it.
   }
   return fut;
+}
+
+std::future<AsyncServeClient::Reply> AsyncServeClient::submit_async(
+    const std::string& function, std::vector<std::uint8_t> payload,
+    const CallOptions& copts, anahy::Priority priority, std::int64_t timeout_ns,
+    bool check, Callback callback) {
+  const std::uint64_t id = next_id();
+  return start(id,
+               encode(make_job_submit(
+                   static_cast<std::uint32_t>(transport_.node_id()), id,
+                   static_cast<std::uint8_t>(priority), timeout_ns, check,
+                   function, std::move(payload))),
+               copts, /*is_stats=*/false, std::move(callback));
 }
 
 AsyncServeClient::Reply AsyncServeClient::call(
@@ -770,35 +531,25 @@ AsyncServeClient::Reply AsyncServeClient::call(
 }
 
 int AsyncServeClient::query_stats(std::string& out, const CallOptions& copts) {
-  std::future<Reply> fut;
-  const auto now = Clock::now();
-  std::vector<std::uint8_t> wire_copy;
-  {
-    std::lock_guard lock(mu_);
-    const std::uint64_t id = next_request_++;
-    Pending p;
-    p.deadline = now + copts.deadline;
-    p.backoff = std::max(copts.initial_backoff, std::chrono::microseconds{1});
-    p.max_backoff = copts.max_backoff;
-    p.max_attempts = copts.max_attempts;
-    p.is_stats = true;
-    const auto jitter = std::chrono::microseconds{next_jitter_locked(
-        static_cast<std::uint64_t>(p.backoff.count() / 4 + 1))};
-    p.next_resend = now + p.backoff + jitter;
-    p.frame = encode(make_stats_query(
-        static_cast<std::uint32_t>(transport_.node_id()), id));
-    wire_copy = p.frame;
-    fut = p.promise.get_future();
-    pending_.emplace(id, std::move(p));
-  }
-  try {
-    transport_.send(server_node_, std::move(wire_copy));
-  } catch (const std::exception&) {
-  }
-  Reply r = fut.get();
-  if (r.error != anahy::kOk) return r.error;
-  out = r.text();
-  return anahy::kOk;
+  const std::uint64_t id = next_id();
+  return await_text(
+      start(id,
+            encode(make_stats_query(
+                static_cast<std::uint32_t>(transport_.node_id()), id)),
+            copts, /*is_stats=*/true, nullptr),
+      out);
+}
+
+int AsyncServeClient::rejuvenate(std::string& out, const CallOptions& copts,
+                                 std::uint32_t target) {
+  // kRejuvenate is answered by kStatsReply, so it waits like a stats pull.
+  const std::uint64_t id = next_id();
+  return await_text(
+      start(id,
+            encode(make_rejuvenate(
+                static_cast<std::uint32_t>(transport_.node_id()), id, target)),
+            copts, /*is_stats=*/true, nullptr),
+      out);
 }
 
 std::size_t AsyncServeClient::inflight() const {
@@ -878,8 +629,11 @@ void AsyncServeClient::service_timers(Clock::time_point now) {
     std::lock_guard lock(mu_);
     for (auto it = pending_.begin(); it != pending_.end();) {
       Pending& p = it->second;
+      // The attempt budget is spent only once the last attempt's backoff
+      // slice has passed unanswered, like every earlier attempt's.
       if (now >= p.deadline ||
-          (p.max_attempts > 0 && p.attempts >= p.max_attempts)) {
+          (now >= p.next_resend && p.max_attempts > 0 &&
+           p.attempts >= p.max_attempts)) {
         expired.push_back(std::move(p));
         it = pending_.erase(it);
         continue;

@@ -8,7 +8,7 @@
 // coordinator/worker bootstrap).
 //
 //   server node                         client node
-//   ServeFrontEnd(server, tp, reg) <--- ServeClient(tp, server_node)
+//   ServeFrontEnd(server, tp, reg) <--- AsyncServeClient(tp, server_node)
 //        kJobSubmit {fn, payload, priority, timeout, check}
 //        kJobDone   {error, races, result bytes}
 //        kStatsQuery {}                 kStatsReply {exposition text}
@@ -18,9 +18,9 @@
 //
 //  * Every frame carries the magic/length/CRC envelope; malformed input is
 //    dropped with an ANAHY-F00x count, never parsed into garbage.
-//  * ServeClient::call retries lost requests under capped exponential
-//    backoff with jitter and a per-call deadline; exhausted retries yield
-//    a definite kUnreachable outcome instead of a hang.
+//  * AsyncServeClient retries lost requests under capped exponential
+//    backoff with jitter and a per-request deadline; exhausted retries
+//    yield a definite kUnreachable outcome instead of a hang.
 //  * The front-end keeps a dedup window of completed replies keyed by
 //    (client, request id), so a retried request is answered from cache
 //    (exactly-once execution) instead of running twice; a retry of a
@@ -41,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -293,33 +292,42 @@ class ServeFrontEnd {
   std::thread pump_;
 };
 
-/// Retry/backoff envelope of ServeClient::call().
+/// Retry/backoff envelope of every AsyncServeClient request.
 struct CallOptions {
-  /// Overall per-call deadline; when it passes without a reply the call
-  /// returns kUnreachable.
+  /// Overall per-request deadline; when it passes without a reply the
+  /// request resolves kUnreachable.
   std::chrono::microseconds deadline{2'000'000};
   /// First retransmission happens this long after an unanswered send;
   /// subsequent waits double, capped at max_backoff, plus jitter.
   std::chrono::microseconds initial_backoff{10'000};
   std::chrono::microseconds max_backoff{200'000};
   /// Send attempts before giving up (0 = bounded by the deadline alone).
+  /// The last attempt still waits out its backoff slice for a reply.
   int max_attempts = 0;
 };
 
 /// Client side: submits registered functions to a remote front-end and
-/// collects replies.
+/// collects replies. Many requests can be in flight on ONE transport
+/// endpoint, submitted from any number of threads.
 ///
-/// NOT thread-safe — one client per transport endpoint (the transport's
-/// "one pump thread receives" rule). The contract is enforced: concurrent
-/// use from two threads aborts the process with a diagnostic instead of
-/// silently corrupting the pending-reply map.
-class ServeClient {
+/// Thread-safe. An internal pump thread owns the receive side (honoring
+/// the transport's one-receiver rule), resolves futures and callbacks,
+/// answers heartbeat pings, and retransmits unanswered requests under the
+/// same request id with capped exponential backoff + jitter. Retries
+/// therefore stay exactly-once through the server's dedup window, and
+/// every request resolves definitely (kUnreachable on give-up, never a
+/// hang, never a throw on transport failure).
+///
+/// Concurrent submissions share the socket and, on the epoll wire path
+/// (docs/WIRE.md), coalesce into writev batches instead of serializing on
+/// one blocking round-trip.
+///
+/// Callbacks and promise resolutions run on the pump thread (or, for
+/// submissions still pending at destruction, on the destructing thread):
+/// keep them short and never call back into blocking client methods from
+/// one.
+class AsyncServeClient {
  public:
-  /// `seed` drives the retry jitter (deterministic per client).
-  ServeClient(Transport& transport, int server_node,
-              std::uint64_t seed = 0x9E3779B97F4A7C15ull)
-      : transport_(transport), server_node_(server_node), jitter_state_(seed) {}
-
   struct Reply {
     int error = 0;            ///< anahy::Error numbering (incl. kUnreachable)
     std::uint64_t races = 0;  ///< ANAHY-R001 count (check jobs)
@@ -330,152 +338,6 @@ class ServeClient {
       return {payload.begin(), payload.end()};
     }
   };
-
-  using CallOptions = cluster::CallOptions;
-
-  /// Reliable request/response: submits under a client-assigned request id
-  /// and retries (same id — the server's dedup window keeps execution
-  /// exactly-once) with capped exponential backoff + jitter until a reply
-  /// arrives or the deadline/attempt budget is exhausted, in which case
-  /// the Reply carries anahy::kUnreachable. Never hangs, never throws on
-  /// transport failure.
-  Reply call(const std::string& function, std::vector<std::uint8_t> payload,
-             const CallOptions& copts = CallOptions{},
-             anahy::Priority priority = anahy::Priority::kNormal,
-             std::int64_t timeout_ns = -1, bool check = false);
-
-  /// Fire-and-forget submission; returns the correlation id to wait on.
-  std::uint64_t submit(const std::string& function,
-                       std::vector<std::uint8_t> payload,
-                       anahy::Priority priority = anahy::Priority::kNormal,
-                       std::int64_t timeout_ns = -1, bool check = false);
-
-  /// Waits up to `timeout` for the reply to `request_id`, pumping the
-  /// transport (other requests' replies are buffered, so interleaved
-  /// waiting is fine; duplicate replies are dropped; pings are answered).
-  /// False on timeout.
-  bool wait(std::uint64_t request_id, Reply& out,
-            std::chrono::microseconds timeout);
-
-  /// Synchronous telemetry pull with the same retry/backoff/deadline
-  /// envelope as call(): sends kStatsQuery under a client-assigned id and
-  /// retransmits with capped exponential backoff + jitter until the
-  /// matching kStatsReply arrives (written into `out`, returns kOk) or
-  /// the deadline/attempt budget is exhausted (returns kUnreachable —
-  /// never a silent hang). Job replies arriving in the meantime are
-  /// buffered for later wait() calls.
-  int query_stats(std::string& out, const CallOptions& copts);
-
-  /// Convenience wrapper: deadline-only CallOptions. True exactly when
-  /// the pull returned kOk.
-  bool query_stats(std::string& out, std::chrono::microseconds timeout);
-
-  /// Operator command: run one online rejuvenation cycle on the remote
-  /// server (kRejuvenate frame; docs/REJUV.md). Same retry/backoff/
-  /// deadline envelope as query_stats — the reply rides kStatsReply and
-  /// `out` receives the cycle-report text. Rejuvenation is idempotent, so
-  /// a retried command cycling twice is harmless. Returns kOk or
-  /// kUnreachable.
-  ///
-  /// `target` addresses a specific mesh node: the server this client
-  /// talks to forwards the command (ServeFrontEnd one-hop routing) and
-  /// the addressed node replies directly. kRejuvTargetSelf cycles the
-  /// connected server itself.
-  int rejuvenate(std::string& out, const CallOptions& copts = CallOptions{},
-                 std::uint32_t target = kRejuvTargetSelf);
-
-  /// Malformed frames dropped with an ANAHY-F00x diagnostic.
-  [[nodiscard]] std::uint64_t rejected_frames() const {
-    return rejected_frames_;
-  }
-  /// kPing probes answered with a kPong.
-  [[nodiscard]] std::uint64_t pings_answered() const {
-    return pings_answered_;
-  }
-  /// Retransmissions performed by call() across its lifetime.
-  [[nodiscard]] std::uint64_t retries() const { return retries_; }
-  /// Duplicate kJobDone frames dropped (already consumed or buffered).
-  [[nodiscard]] std::uint64_t duplicate_replies() const {
-    return duplicate_replies_;
-  }
-
- private:
-  /// RAII misuse detector behind the NOT-thread-safe contract: entering a
-  /// public method while another thread is inside one aborts loudly.
-  struct UseGuard {
-    explicit UseGuard(ServeClient& c);
-    ~UseGuard();
-    ServeClient& c_;
-  };
-
-  /// Receives and classifies at most one frame (<= `timeout`). Returns
-  /// false on recv timeout.
-  bool pump_one(std::chrono::microseconds timeout);
-
-  /// Shared request/response engine of query_stats and rejuvenate: sends
-  /// `frame` (a pre-encoded request carrying `id`) with the call()-style
-  /// retry envelope and waits for the matching kStatsReply text (callers
-  /// hold the UseGuard; nesting two guards would trip the misuse abort).
-  int text_request_impl(const std::vector<std::uint8_t>& frame,
-                        std::uint64_t id, std::string& out,
-                        const CallOptions& copts);
-
-  /// text_request_impl over a fresh kStatsQuery.
-  int query_stats_impl(std::string& out, const CallOptions& copts);
-
-  /// Moves a buffered stats reply for `id` into `out`. False when not
-  /// arrived yet.
-  bool take_stats(std::uint64_t id, std::string& out);
-
-  /// Moves a buffered reply for `id` into `out`, recording the id as
-  /// consumed so late duplicates are dropped. False when not buffered yet.
-  bool take_ready(std::uint64_t id, Reply& out);
-
-  void send_submit(const std::string& function,
-                   const std::vector<std::uint8_t>& payload, std::uint64_t id,
-                   anahy::Priority priority, std::int64_t timeout_ns,
-                   bool check);
-
-  std::uint64_t next_jitter(std::uint64_t bound_us);
-
-  Transport& transport_;
-  int server_node_;
-  std::uint64_t next_request_ = 1;
-  std::map<std::uint64_t, Reply> ready_;       ///< replies received early
-  std::map<std::uint64_t, std::string> stats_ready_;
-  std::deque<std::uint64_t> consumed_order_;   ///< recently consumed ids
-  std::set<std::uint64_t> consumed_;
-  std::uint64_t jitter_state_;
-  std::uint64_t rejected_frames_ = 0;
-  std::uint64_t pings_answered_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t duplicate_replies_ = 0;
-  std::atomic<bool> busy_{false};
-};
-
-/// Multiplexed asynchronous client: many requests in flight on ONE
-/// transport endpoint, submitted from any number of threads.
-///
-/// THREAD-SAFE — the deliberate opposite of ServeClient's abort-enforced
-/// single-thread contract. An internal pump thread owns the receive side
-/// (honoring the transport's one-receiver rule), resolves futures and
-/// callbacks, answers heartbeat pings, and drives the same fixed-request-id
-/// retry/backoff/deadline machinery as ServeClient::call, so retries stay
-/// exactly-once through the server's dedup window and every submission
-/// resolves definitely (kUnreachable on give-up, never a hang).
-///
-/// This is the client the batched epoll wire path is built for
-/// (docs/WIRE.md): concurrent submissions share the socket and coalesce
-/// into writev batches instead of serializing on one blocking round-trip,
-/// so load generators stop being the bottleneck.
-///
-/// Callbacks and promise resolutions run on the pump thread (or, for
-/// submissions still pending at destruction, on the destructing thread):
-/// keep them short and never call back into blocking client methods from
-/// one.
-class AsyncServeClient {
- public:
-  using Reply = ServeClient::Reply;
   using Callback = std::function<void(const Reply&)>;
 
   /// `seed` drives the retry jitter (deterministic per client). The
@@ -501,18 +363,32 @@ class AsyncServeClient {
       std::int64_t timeout_ns = -1, bool check = false,
       Callback callback = nullptr);
 
-  /// Blocking convenience: submit_async(...).get(). Unlike
-  /// ServeClient::call this may run from many threads concurrently —
-  /// each caller parks on its own future while the shared pump
-  /// multiplexes the socket.
+  /// Blocking convenience: submit_async(...).get(). May run from many
+  /// threads concurrently — each caller parks on its own future while the
+  /// shared pump multiplexes the socket.
   Reply call(const std::string& function, std::vector<std::uint8_t> payload,
              const CallOptions& copts = CallOptions{},
              anahy::Priority priority = anahy::Priority::kNormal,
              std::int64_t timeout_ns = -1, bool check = false);
 
-  /// Telemetry pull with retry parity (see ServeClient::query_stats).
-  /// Returns kOk with `out` filled, or kUnreachable on give-up.
+  /// Blocking telemetry pull (kStatsQuery) under the same retry envelope.
+  /// Returns kOk with the exposition text in `out`, or kUnreachable on
+  /// give-up (`out` untouched). A retried pull re-renders the exposition
+  /// server-side, which is harmless.
   int query_stats(std::string& out, const CallOptions& copts = CallOptions{});
+
+  /// Operator command: run one online rejuvenation cycle on the remote
+  /// server (kRejuvenate frame; docs/REJUV.md). Same envelope as
+  /// query_stats — the reply rides kStatsReply and `out` receives the
+  /// cycle-report text. Rejuvenation is idempotent, so a retried command
+  /// cycling twice is harmless. Returns kOk or kUnreachable.
+  ///
+  /// `target` addresses a specific mesh node: the server this client
+  /// talks to forwards the command (ServeFrontEnd one-hop routing) and
+  /// the addressed node replies directly. kRejuvTargetSelf cycles the
+  /// connected server itself.
+  int rejuvenate(std::string& out, const CallOptions& copts = CallOptions{},
+                 std::uint32_t target = kRejuvTargetSelf);
 
   /// Requests currently awaiting a reply.
   [[nodiscard]] std::size_t inflight() const;
@@ -529,7 +405,7 @@ class AsyncServeClient {
   [[nodiscard]] std::uint64_t pings_answered() const {
     return pings_answered_.load(std::memory_order_relaxed);
   }
-  /// kJobDone frames for ids no longer pending (duplicates/latecomers).
+  /// Reply frames for ids no longer pending (duplicates/latecomers).
   [[nodiscard]] std::uint64_t duplicate_replies() const {
     return duplicate_replies_.load(std::memory_order_relaxed);
   }
@@ -537,9 +413,10 @@ class AsyncServeClient {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One in-flight request. `frame` is the encoded submission, kept so
-  /// retransmits do not re-encode; `is_stats` marks kStatsQuery pulls
-  /// (their Reply carries the exposition text as payload).
+  /// One in-flight request. `frame` is the encoded request, kept so
+  /// retransmits do not re-encode; `is_stats` marks requests answered by
+  /// kStatsReply (stats pulls and rejuvenate commands), whose Reply
+  /// carries the text as payload.
   struct Pending {
     std::promise<Reply> promise;
     Callback callback;
@@ -553,6 +430,16 @@ class AsyncServeClient {
     bool is_stats = false;
   };
 
+  /// A fresh request id for this client.
+  std::uint64_t next_id() {
+    return next_request_.fetch_add(1, std::memory_order_relaxed);
+  }
+  /// The one start path of every request: registers `frame` (encoded under
+  /// `id`) as pending and sends its first attempt.
+  std::future<Reply> start(std::uint64_t id, std::vector<std::uint8_t> frame,
+                           const CallOptions& copts, bool is_stats,
+                           Callback callback);
+
   void pump();
   void handle_frame(const std::vector<std::uint8_t>& frame);
   void service_timers(Clock::time_point now);
@@ -562,10 +449,10 @@ class AsyncServeClient {
 
   Transport& transport_;
   int server_node_;
-  mutable std::mutex mu_;  ///< guards pending_, next_request_, jitter_state_
+  mutable std::mutex mu_;  ///< guards pending_ and jitter_state_
   std::map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_request_ = 1;
   std::uint64_t jitter_state_;
+  std::atomic<std::uint64_t> next_request_{1};
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> rejected_frames_{0};

@@ -62,7 +62,6 @@ struct Kernel {
         central_ready.pop_back();
         return t;
       }
-      case anahy::PolicyKind::kWorkStealingMutex:  // same discipline simulated
       case anahy::PolicyKind::kWorkStealing: {
         auto& own = vp_ready[static_cast<std::size_t>(vp)];
         if (!own.empty()) {
@@ -229,11 +228,6 @@ SimResult simulate_anahy(const Program& program, int num_vps,
                          anahy::PolicyKind policy, bool help_first) {
   if (num_vps < 1) throw std::invalid_argument("num_vps must be >= 1");
   program.validate();
-  // The simulator has no locks: the mutex and lock-free work-stealing
-  // policies are the same scheduling discipline here.
-  if (policy == anahy::PolicyKind::kWorkStealingMutex)
-    policy = anahy::PolicyKind::kWorkStealing;
-
   Kernel kernel;
   kernel.program = &program;
   kernel.machine = machine;

@@ -72,8 +72,7 @@ TEST_P(PolicyTest, DrainsManyTasks) {
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyTest,
                          ::testing::Values(PolicyKind::kFifo,
                                            PolicyKind::kLifo,
-                                           PolicyKind::kWorkStealing,
-                                           PolicyKind::kWorkStealingMutex),
+                                           PolicyKind::kWorkStealing),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

@@ -28,6 +28,19 @@ WireCounters counters_of(const Transport& t) {
   return src != nullptr ? src->wire_counters() : WireCounters{};
 }
 
+/// The sender's counters once `frames` frames are counted. Its loop
+/// thread bumps them after sendmsg returns, so the peer can already hold
+/// every frame while they are still settling; wait for them (bounded).
+WireCounters tx_counters_after(const Transport& t, std::uint64_t frames) {
+  const auto until = std::chrono::steady_clock::now() + 2s;
+  WireCounters c = counters_of(t);
+  while (c.tx_frames < frames && std::chrono::steady_clock::now() < until) {
+    std::this_thread::yield();
+    c = counters_of(t);
+  }
+  return c;
+}
+
 TEST(EpollWire, CountersTallyFramesAndBytes) {
   auto fabric = make_epoll_fabric(2);
   constexpr int kFrames = 100;
@@ -44,7 +57,7 @@ TEST(EpollWire, CountersTallyFramesAndBytes) {
     EXPECT_EQ(frame[0], static_cast<std::uint8_t>(i));
   }
 
-  const WireCounters tx = counters_of(*fabric[0]);
+  const WireCounters tx = tx_counters_after(*fabric[0], kFrames);
   EXPECT_EQ(tx.tx_frames, static_cast<std::uint64_t>(kFrames));
   // Each frame costs its 4-byte prefix on the wire.
   EXPECT_EQ(tx.tx_bytes, payload_bytes + 4u * kFrames);
@@ -66,7 +79,7 @@ TEST(EpollWire, BurstCoalescesIntoFewerSyscalls) {
   std::vector<std::uint8_t> frame;
   for (int i = 0; i < kFrames; ++i) ASSERT_TRUE(fabric[1]->recv(frame, 2s));
 
-  const WireCounters tx = counters_of(*fabric[0]);
+  const WireCounters tx = tx_counters_after(*fabric[0], kFrames);
   EXPECT_EQ(tx.tx_frames, static_cast<std::uint64_t>(kFrames));
   EXPECT_LT(tx.writev_calls, tx.tx_frames)
       << "a 4000-frame burst never batched: " << tx.writev_calls
@@ -96,7 +109,7 @@ TEST(EpollWire, TinyIoCapDribblesFramesIntact) {
     EXPECT_EQ(frame, want) << "frame " << i << " corrupted by short IO";
   }
 
-  const WireCounters tx = counters_of(*fabric[0]);
+  const WireCounters tx = tx_counters_after(*fabric[0], kFrames);
   const WireCounters rx = counters_of(*fabric[1]);
   EXPECT_GT(tx.tx_partial_writes, 0u);
   EXPECT_GT(rx.rx_partial_reads, 0u);
@@ -139,7 +152,7 @@ TEST(EpollWire, CounterRowsCarryTheWireNames) {
   std::vector<std::uint8_t> frame;
   ASSERT_TRUE(fabric[1]->recv(frame, 1s));
 
-  const auto rows = wire_counter_rows(counters_of(*fabric[0]));
+  const auto rows = wire_counter_rows(tx_counters_after(*fabric[0], 1));
   auto value_of = [&rows](const std::string& name) -> std::uint64_t {
     for (const auto& r : rows)
       if (r.name == name) return r.value;

@@ -98,7 +98,7 @@ TEST(Chaos, LossyLinkEveryCallResolvesExactlyOnce) {
   profile.delay_min = 200us;
   profile.delay_max = 2'000us;
   FaultyTransport faulty(std::move(fabric[1]), profile);
-  ServeClient client(faulty, /*server_node=*/0, seed);
+  AsyncServeClient client(faulty, /*server_node=*/0, seed);
 
   g_executions.store(0);
   CallOptions copts;
@@ -166,7 +166,7 @@ TEST(Chaos, SeveredPeerIsReapedAndHealsClean) {
   ServeFrontEnd frontend(server, *fabric[0], reg, fopts);
 
   FaultyTransport faulty(std::move(fabric[1]), FaultProfile{.seed = seed});
-  ServeClient client(faulty, 0, seed);
+  AsyncServeClient client(faulty, 0, seed);
 
   // Healthy link first: a call goes straight through.
   CallOptions copts;
@@ -176,8 +176,11 @@ TEST(Chaos, SeveredPeerIsReapedAndHealsClean) {
   ASSERT_EQ(reply.error, anahy::kOk);
 
   // Park a slow job on the server so this client has work in flight, then
-  // cut the uplink: our pongs stop arriving.
-  const auto slow_id = client.submit("slow_nop", {});
+  // cut the uplink: our pongs stop arriving. One attempt only: the job is
+  // never retransmitted, so the reap below is its only fate.
+  CallOptions once;
+  once.max_attempts = 1;
+  auto slow = client.submit_async("slow_nop", {}, once);
   faulty.sever(0);
 
   // A call over the severed link fails definitively with kUnreachable —
@@ -205,7 +208,7 @@ TEST(Chaos, SeveredPeerIsReapedAndHealsClean) {
   EXPECT_EQ(r.u32(), 2u);
   // The abandoned job resolved exactly once server-side; its reply to a
   // reaped client is at most a harmless frame the client never consumed.
-  (void)slow_id;
+  (void)slow;
 }
 
 TEST(Chaos, FaultedJobsSurviveTheLossyLink) {
@@ -224,7 +227,7 @@ TEST(Chaos, FaultedJobsSurviveTheLossyLink) {
   profile.seed = seed;
   profile.drop = 0.25;
   FaultyTransport faulty(std::move(fabric[1]), profile);
-  ServeClient client(faulty, 0, seed);
+  AsyncServeClient client(faulty, 0, seed);
 
   CallOptions copts;
   copts.deadline = 5'000'000us;

@@ -214,9 +214,9 @@ TEST(MeshBasic, RejuvenateForwardsToTheAddressedNode) {
 TEST(MeshBasic, ServeClientRejuvenatesATargetNodeThroughItsServer) {
   MeshRig rig;
   // The operator path of `anahy-aging --rejuvenate --node=N`: a plain
-  // ServeClient connected to node 0 addresses node 2, the front-end
+  // AsyncServeClient connected to node 0 addresses node 2, the front-end
   // forwards, and node 2's cycle report comes back to the client.
-  ServeClient client(rig.probe(), /*server_node=*/0);
+  AsyncServeClient client(rig.probe(), /*server_node=*/0);
   std::string report;
   EXPECT_EQ(client.rejuvenate(report, CallOptions{}, /*target=*/2),
             anahy::kOk);

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "cluster/serve_frontend.hpp"
@@ -37,13 +39,14 @@ TEST(FrontEndRaces, StopThenDestroyTransportWhileJobsResolve) {
     auto frontend =
         std::make_unique<ServeFrontEnd>(server, *fabric[0], reg);
 
-    ServeClient client(*fabric[1], 0);
-    for (int i = 0; i < 16; ++i) client.submit("echo", {1, 2, 3});
+    auto client = std::make_unique<AsyncServeClient>(*fabric[1], 0);
+    for (int i = 0; i < 16; ++i) (void)client->submit_async("echo", {1, 2, 3});
 
     // Give the pump a moment to hand some submissions to the server, then
     // tear down mid-flight.
     std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
     frontend->stop();
+    client.reset();     // its pump drives fabric[1]
     fabric.clear();     // transports gone
     server.drain();     // jobs resolve; callbacks must drop their replies
     frontend.reset();
@@ -63,11 +66,12 @@ TEST(FrontEndRaces, StopRacesCompletionCallbacks) {
     anahy::serve::JobServer server(std::move(opts));
     ServeFrontEnd frontend(server, *fabric[0], reg);
 
-    ServeClient client(*fabric[1], 0);
-    for (int i = 0; i < 32; ++i) client.submit("echo", {9});
+    auto client = std::make_unique<AsyncServeClient>(*fabric[1], 0);
+    for (int i = 0; i < 32; ++i) (void)client->submit_async("echo", {9});
 
     std::thread stopper([&] { frontend.stop(); });
     stopper.join();
+    client.reset();  // its pump drives fabric[1]
     fabric.clear();
     server.drain();
   }
@@ -81,11 +85,10 @@ TEST(FrontEndRaces, DestructorAfterServerDrainIsClean) {
   anahy::serve::JobServer server(anahy::serve::ServerOptions{});
   {
     ServeFrontEnd frontend(server, *fabric[0], reg);
-    ServeClient client(*fabric[1], 0);
-    const auto id = client.submit("echo", {4, 2});
-    ServeClient::Reply reply;
-    ASSERT_TRUE(client.wait(id, reply, 2'000'000us));
-    EXPECT_EQ(reply.error, anahy::kOk);
+    AsyncServeClient client(*fabric[1], 0);
+    auto fut = client.submit_async("echo", {4, 2});
+    ASSERT_EQ(fut.wait_for(2s), std::future_status::ready);
+    EXPECT_EQ(fut.get().error, anahy::kOk);
     server.drain();
   }  // ~ServeFrontEnd after drain
 }

@@ -615,9 +615,11 @@ TEST(JobServer, FaultedJobStillFiresOnCompleteAndDrainCounts) {
   };
   JobHandle h = server.submit(std::move(spec));
   EXPECT_EQ(h.wait(), kFaulted);
+  server.drain();  // a faulted job is resolved work, not a drain leak
+  // drain() is the barrier that promises on_complete has run (wait() may
+  // return just before it does; docs/SERVE.md).
   EXPECT_EQ(callbacks.load(), 1) << "kFaulted must fire on_complete once";
   EXPECT_EQ(callback_error.load(), kFaulted);
-  server.drain();  // a faulted job is resolved work, not a drain leak
   const ServerStats s = server.stats();
   EXPECT_EQ(s.resolved_total(), 1u);
   EXPECT_EQ(s.of(Priority::kNormal).faulted, 1u);
@@ -680,9 +682,16 @@ TEST(JobServer, ObserveTextMergesTelemetryAndServeMetrics) {
 // untouchable.
 
 /// One VP, blocked: everything submitted afterwards stays queued until
-/// the flag flips.
+/// the flag flips. `max_active = 1` is what keeps it queued: with no cap
+/// the dispatcher would move each new job into the runtime at once, and
+/// export_queued would find nothing. Tests flip the flag before they wait
+/// on any handle, so a missed export fails the test instead of hanging it.
 struct BlockedServer {
-  JobServer server{small_server(1)};
+  JobServer server{[] {
+    ServerOptions o = small_server(1);
+    o.max_active = 1;
+    return o;
+  }()};
   std::atomic<bool> flag{false};
   JobHandle blocker;
 
@@ -726,12 +735,13 @@ TEST(JobServerExport, ExportsOnlyQueuedExportableJobsOfTheClass) {
   JobHandle other = rig.queue_one(true, Priority::kNormal, &ran);
 
   EXPECT_EQ(rig.server.export_queued(Priority::kBatch, 10), 2u);
+  EXPECT_EQ(ran.load(), 0);  // nothing ran yet: the VP is still blocked
+
+  rig.flag.store(true, std::memory_order_release);
   EXPECT_EQ(e1.wait(), kMigrated);
   EXPECT_EQ(e2.wait(), kMigrated);
-  EXPECT_EQ(ran.load(), 0);  // migrated bodies never ran here
-
-  // The local closure and the other class survive and run normally.
-  rig.flag.store(true, std::memory_order_release);
+  // The local closure and the other class survive and run normally; the
+  // migrated bodies never ran here.
   EXPECT_EQ(local.wait(), kOk);
   EXPECT_EQ(other.wait(), kOk);
   EXPECT_EQ(ran.load(), 2);
@@ -743,10 +753,10 @@ TEST(JobServerExport, RespectsMaxAndTakesTheNewestFirst) {
   JobHandle oldest = rig.queue_one(true);
   JobHandle newest = rig.queue_one(true);
   EXPECT_EQ(rig.server.export_queued(Priority::kBatch, 1), 1u);
+  rig.flag.store(true, std::memory_order_release);
   // Newest-first: the job with the least sunk queue wait moves; the one
   // that already waited keeps its position.
   EXPECT_EQ(newest.wait(), kMigrated);
-  rig.flag.store(true, std::memory_order_release);
   EXPECT_EQ(oldest.wait(), kOk);
 }
 
@@ -791,6 +801,7 @@ TEST(JobServerExport, OnCompleteFiresForMigratedJobs) {
   };
   JobHandle h = rig.server.submit(std::move(spec));
   EXPECT_EQ(rig.server.export_queued(Priority::kBatch, 1), 1u);
+  rig.flag.store(true, std::memory_order_release);
   EXPECT_EQ(h.wait(), kMigrated);
   EXPECT_EQ(completions.load(), 1);
 }

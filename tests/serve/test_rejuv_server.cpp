@@ -161,13 +161,24 @@ TEST(RejuvServer, JobsResolveExactlyOnceAcrossConcurrentCycles) {
   std::atomic<int> callbacks{0};
   std::vector<JobHandle> handles;
   std::atomic<bool> stop_rejuv{false};
+  // Job bodies wait until the first cycle starts, so every job is still
+  // in flight when it does. (They cannot wait for the cycle to *finish*:
+  // a cycle restarts every VP and must first join the VP running a body.)
+  std::atomic<bool> cycling{false};
   std::thread rejuvenator([&] {
-    while (!stop_rejuv.load(std::memory_order_acquire))
+    do {
+      cycling.store(true, std::memory_order_release);
       (void)server.rejuvenate();
+    } while (!stop_rejuv.load(std::memory_order_acquire));
   });
 
   for (int i = 0; i < 150; ++i) {
     JobSpec spec = leaky_spec(server.runtime(), 2);
+    spec.body = [&cycling, body = std::move(spec.body)](void* in) -> void* {
+      while (!cycling.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      return body(in);
+    };
     spec.on_complete = [&callbacks](const JobResult&) {
       callbacks.fetch_add(1, std::memory_order_relaxed);
     };

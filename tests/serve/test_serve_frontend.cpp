@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -18,6 +19,7 @@ namespace {
 
 using namespace cluster;
 using namespace std::chrono_literals;
+using Reply = AsyncServeClient::Reply;
 
 /// sum of u32 little-endian words in the payload -> one u32 result.
 std::vector<std::uint8_t> sum_u32(std::span<const std::uint8_t> in) {
@@ -38,9 +40,16 @@ std::vector<std::uint8_t> numbers_payload(std::uint32_t n) {
   return w.take();
 }
 
-std::uint32_t result_u32(const ServeClient::Reply& r) {
+std::uint32_t result_u32(const Reply& r) {
   ByteReader reader(r.payload);
   return reader.u32();
+}
+
+/// The deadline-only retry envelope.
+CallOptions within(std::chrono::microseconds deadline) {
+  CallOptions copts;
+  copts.deadline = deadline;
+  return copts;
 }
 
 TEST(ServeFrontend, RoundTripOverMemoryFabric) {
@@ -52,10 +61,10 @@ TEST(ServeFrontend, RoundTripOverMemoryFabric) {
   anahy::serve::JobServer server(std::move(opts));
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
-  ServeClient client(*fabric[1], /*server_node=*/0);
-  const auto id = client.submit("sum_u32", numbers_payload(10));
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 2'000'000us));
+  AsyncServeClient client(*fabric[1], /*server_node=*/0);
+  auto fut = client.submit_async("sum_u32", numbers_payload(10));
+  ASSERT_EQ(fut.wait_for(2s), std::future_status::ready);
+  const Reply reply = fut.get();
   EXPECT_EQ(reply.error, anahy::kOk);
   EXPECT_EQ(result_u32(reply), 55u);
   EXPECT_EQ(frontend.submissions(), 1u);
@@ -67,10 +76,10 @@ TEST(ServeFrontend, UnknownFunctionRepliesInvalid) {
   anahy::serve::JobServer server(anahy::serve::ServerOptions{});
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
-  ServeClient client(*fabric[1], 0);
-  const auto id = client.submit("no_such_fn", {});
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 2'000'000us));
+  AsyncServeClient client(*fabric[1], 0);
+  auto fut = client.submit_async("no_such_fn", {});
+  ASSERT_EQ(fut.wait_for(2s), std::future_status::ready);
+  const Reply reply = fut.get();
   EXPECT_EQ(reply.error, anahy::kInvalid);
 }
 
@@ -81,19 +90,18 @@ TEST(ServeFrontend, InterleavedRequestsCorrelateById) {
   anahy::serve::JobServer server(anahy::serve::ServerOptions{});
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
-  ServeClient client(*fabric[1], 0);
-  const auto a = client.submit("sum_u32", numbers_payload(3));   // 6
-  const auto b = client.submit("sum_u32", numbers_payload(100)); // 5050
-  const auto c = client.submit("sum_u32", numbers_payload(1));   // 1
+  AsyncServeClient client(*fabric[1], 0);
+  auto a = client.submit_async("sum_u32", numbers_payload(3));    // 6
+  auto b = client.submit_async("sum_u32", numbers_payload(100));  // 5050
+  auto c = client.submit_async("sum_u32", numbers_payload(1));    // 1
 
   // Wait out of submission order: replies must correlate, not interleave.
-  ServeClient::Reply rc, ra, rb;
-  ASSERT_TRUE(client.wait(c, rc, 2'000'000us));
-  ASSERT_TRUE(client.wait(a, ra, 2'000'000us));
-  ASSERT_TRUE(client.wait(b, rb, 2'000'000us));
-  EXPECT_EQ(result_u32(ra), 6u);
-  EXPECT_EQ(result_u32(rb), 5050u);
-  EXPECT_EQ(result_u32(rc), 1u);
+  ASSERT_EQ(c.wait_for(2s), std::future_status::ready);
+  ASSERT_EQ(a.wait_for(2s), std::future_status::ready);
+  ASSERT_EQ(b.wait_for(2s), std::future_status::ready);
+  EXPECT_EQ(result_u32(a.get()), 6u);
+  EXPECT_EQ(result_u32(b.get()), 5050u);
+  EXPECT_EQ(result_u32(c.get()), 1u);
 }
 
 TEST(ServeFrontend, SubmitAfterDrainRepliesPerm) {
@@ -104,10 +112,10 @@ TEST(ServeFrontend, SubmitAfterDrainRepliesPerm) {
   ServeFrontEnd frontend(server, *fabric[0], reg);
   server.drain();
 
-  ServeClient client(*fabric[1], 0);
-  const auto id = client.submit("sum_u32", numbers_payload(4));
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 2'000'000us));
+  AsyncServeClient client(*fabric[1], 0);
+  auto fut = client.submit_async("sum_u32", numbers_payload(4));
+  ASSERT_EQ(fut.wait_for(2s), std::future_status::ready);
+  const Reply reply = fut.get();
   EXPECT_EQ(reply.error, anahy::kPerm);
 }
 
@@ -118,12 +126,12 @@ TEST(ServeFrontend, PriorityAndTimeoutTravelTheWire) {
   anahy::serve::JobServer server(anahy::serve::ServerOptions{});
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
-  ServeClient client(*fabric[1], 0);
-  const auto id = client.submit("sum_u32", numbers_payload(8),
-                                anahy::Priority::kHigh,
-                                /*timeout_ns=*/5'000'000'000, false);
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 2'000'000us));
+  AsyncServeClient client(*fabric[1], 0);
+  auto fut = client.submit_async("sum_u32", numbers_payload(8), CallOptions{},
+                                 anahy::Priority::kHigh,
+                                 /*timeout_ns=*/5'000'000'000, false);
+  ASSERT_EQ(fut.wait_for(2s), std::future_status::ready);
+  const Reply reply = fut.get();
   EXPECT_EQ(reply.error, anahy::kOk);
   EXPECT_EQ(result_u32(reply), 36u);
   EXPECT_EQ(server.stats().of(anahy::Priority::kHigh).completed, 1u);
@@ -155,13 +163,13 @@ TEST(ServeFrontend, StatsQueryOverMemoryFabric) {
   anahy::serve::JobServer server(std::move(opts));
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
-  ServeClient client(*fabric[1], 0);
-  const auto id = client.submit("sum_u32", numbers_payload(10));
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 2'000'000us));
+  AsyncServeClient client(*fabric[1], 0);
+  auto fut = client.submit_async("sum_u32", numbers_payload(10));
+  ASSERT_EQ(fut.wait_for(2s), std::future_status::ready);
+  const Reply reply = fut.get();
 
   std::string text;
-  ASSERT_TRUE(client.query_stats(text, 2'000'000us));
+  ASSERT_EQ(client.query_stats(text, within(2s)), anahy::kOk);
   expect_exposition(text);
   EXPECT_EQ(frontend.stats_queries(), 1u);
 }
@@ -177,7 +185,7 @@ TEST(ServeFrontend, RejuvenateOverMemoryFabric) {
 
   // The operator command: a kRejuvenate frame runs one cycle on the
   // server and the one-line report rides back on kStatsReply.
-  ServeClient client(*fabric[1], 0);
+  AsyncServeClient client(*fabric[1], 0);
   std::string report;
   ASSERT_EQ(client.rejuvenate(report), anahy::kOk);
   EXPECT_NE(report.find("reaped"), std::string::npos) << report;
@@ -186,16 +194,16 @@ TEST(ServeFrontend, RejuvenateOverMemoryFabric) {
   EXPECT_EQ(server.rejuv_counters().cycles, 1u);
 
   // The restarted server still serves over the same wire.
-  const auto id = client.submit("sum_u32", numbers_payload(10));
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 2'000'000us));
+  auto fut = client.submit_async("sum_u32", numbers_payload(10));
+  ASSERT_EQ(fut.wait_for(2s), std::future_status::ready);
+  const Reply reply = fut.get();
   EXPECT_EQ(reply.error, anahy::kOk);
   EXPECT_EQ(result_u32(reply), 55u);
 }
 
 TEST(ServeFrontend, RejuvenateUnreachableIsADefiniteOutcome) {
   auto fabric = make_memory_fabric(2);
-  ServeClient client(*fabric[1], 0);  // nobody serving node 0
+  AsyncServeClient client(*fabric[1], 0);  // nobody serving node 0
   CallOptions copts;
   copts.deadline = 150'000us;
   copts.initial_backoff = 20'000us;
@@ -212,15 +220,15 @@ TEST(ServeFrontend, StatsQueryBuffersInterleavedJobReplies) {
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
   // Submit first, then query stats immediately: the kJobDone frame may
-  // arrive while query_stats is pumping and must not be lost.
-  ServeClient client(*fabric[1], 0);
-  const auto id = client.submit("sum_u32", numbers_payload(100));
+  // arrive while query_stats waits and must still resolve the job.
+  AsyncServeClient client(*fabric[1], 0);
+  auto fut = client.submit_async("sum_u32", numbers_payload(100), within(5s));
   std::string text;
-  ASSERT_TRUE(client.query_stats(text, 5'000'000us));
+  ASSERT_EQ(client.query_stats(text, within(5s)), anahy::kOk);
   expect_exposition(text);
 
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 5'000'000us));
+  ASSERT_EQ(fut.wait_for(5s), std::future_status::ready);
+  const Reply reply = fut.get();
   EXPECT_EQ(reply.error, anahy::kOk);
   EXPECT_EQ(result_u32(reply), 5050u);
 }
@@ -234,14 +242,14 @@ TEST(ServeFrontend, StatsQueryOverTcpLoopback) {
   anahy::serve::JobServer server(std::move(opts));
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
-  ServeClient client(*fabric[1], 0);
-  const auto id = client.submit("sum_u32", numbers_payload(20));
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 5'000'000us));
+  AsyncServeClient client(*fabric[1], 0);
+  auto fut = client.submit_async("sum_u32", numbers_payload(20), within(5s));
+  ASSERT_EQ(fut.wait_for(5s), std::future_status::ready);
+  const Reply reply = fut.get();
   EXPECT_EQ(result_u32(reply), 210u);
 
   std::string text;
-  ASSERT_TRUE(client.query_stats(text, 5'000'000us));
+  ASSERT_EQ(client.query_stats(text, within(5s)), anahy::kOk);
   expect_exposition(text);
   // The completed job is visible in the scraped counters.
   EXPECT_NE(
@@ -252,9 +260,9 @@ TEST(ServeFrontend, StatsQueryOverTcpLoopback) {
 TEST(ServeFrontend, StatsQueryUnreachableIsADefiniteOutcome) {
   // Nothing listening on node 0: the pull must come back kUnreachable
   // inside the deadline, with the same retry envelope as call() — not
-  // hang, and not a bare false that hides *why* it failed.
+  // hang, and not a bare failure that hides *why* it failed.
   auto fabric = make_memory_fabric(2);
-  ServeClient client(*fabric[1], 0);
+  AsyncServeClient client(*fabric[1], 0);
 
   CallOptions copts;
   copts.deadline = 150'000us;
@@ -264,13 +272,13 @@ TEST(ServeFrontend, StatsQueryUnreachableIsADefiniteOutcome) {
   EXPECT_EQ(text, "untouched");
   EXPECT_GT(client.retries(), 0u) << "no retransmission before giving up";
 
-  // The boolean convenience wrapper agrees.
-  EXPECT_FALSE(client.query_stats(text, 100'000us));
+  // A deadline-only envelope agrees.
+  EXPECT_EQ(client.query_stats(text, within(100ms)), anahy::kUnreachable);
 }
 
 TEST(ServeFrontend, StatsQueryAttemptBudgetCapsRetries) {
   auto fabric = make_memory_fabric(2);
-  ServeClient client(*fabric[1], 0);
+  AsyncServeClient client(*fabric[1], 0);
 
   CallOptions copts;
   copts.deadline = 5'000'000us;  // generous: attempts must bound us first
@@ -284,16 +292,40 @@ TEST(ServeFrontend, StatsQueryAttemptBudgetCapsRetries) {
   EXPECT_EQ(client.retries(), 2u);  // 3 attempts = 2 retransmissions
 }
 
+TEST(ServeFrontend, LastAttemptWaitsOutItsBackoff) {
+  // One attempt with a 100 ms backoff slice and a 20 ms body: the reply
+  // lands inside the slice, so the request resolves kOk. The attempt
+  // budget may only end a request once its last attempt's slice passed.
+  auto fabric = make_memory_fabric(2);
+  Registry reg;
+  reg.add("nap_echo", [](std::span<const std::uint8_t> in) {
+    std::this_thread::sleep_for(20ms);
+    return std::vector<std::uint8_t>(in.begin(), in.end());
+  });
+  anahy::serve::JobServer server(anahy::serve::ServerOptions{});
+  ServeFrontEnd frontend(server, *fabric[0], reg);
+
+  AsyncServeClient client(*fabric[1], 0);
+  CallOptions copts;
+  copts.max_attempts = 1;
+  copts.initial_backoff = 100'000us;
+  const auto reply = client.call("nap_echo", {3}, copts);
+  EXPECT_EQ(reply.error, anahy::kOk);
+  EXPECT_EQ(reply.payload, std::vector<std::uint8_t>{3});
+  EXPECT_EQ(client.retries(), 0u);
+}
+
 /// Transport decorator that swallows the first `n` sends — the cheapest
 /// lossy link there is, enough to force the stats retry path.
 class DropFirstSends : public Transport {
  public:
   DropFirstSends(Transport& inner, int n) : inner_(inner), drop_(n) {}
+  /// Called by the client's caller and pump threads at once.
   void send(int dst, std::vector<std::uint8_t> frame) override {
-    if (drop_ > 0) {
-      --drop_;
-      return;
+    int left = drop_.load();
+    while (left > 0 && !drop_.compare_exchange_weak(left, left - 1)) {
     }
+    if (left > 0) return;
     inner_.send(dst, std::move(frame));
   }
   bool recv(std::vector<std::uint8_t>& frame,
@@ -307,7 +339,7 @@ class DropFirstSends : public Transport {
 
  private:
   Transport& inner_;
-  int drop_;
+  std::atomic<int> drop_;
 };
 
 TEST(ServeFrontend, StatsQueryRetransmitsThroughLoss) {
@@ -318,7 +350,7 @@ TEST(ServeFrontend, StatsQueryRetransmitsThroughLoss) {
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
   DropFirstSends lossy(*fabric[1], 1);  // the first kStatsQuery vanishes
-  ServeClient client(lossy, 0);
+  AsyncServeClient client(lossy, 0);
   CallOptions copts;
   copts.deadline = 5'000'000us;
   copts.initial_backoff = 10'000us;
@@ -344,7 +376,7 @@ std::vector<std::uint8_t> throwing_fn(std::span<const std::uint8_t>) {
   throw std::runtime_error("remote boom");
 }
 
-/// Drives the raw wire (no ServeClient): lets tests choose request ids.
+/// Drives the raw wire (no client object): lets tests choose request ids.
 std::vector<std::uint8_t> raw_submit_frame(std::uint32_t client,
                                            std::uint64_t request_id,
                                            const std::string& fn) {
@@ -467,8 +499,8 @@ TEST(ServeFrontend, DuplicateJobDoneIsDroppedByClient) {
   // A raw "server" that answers every submit twice: the client must
   // consume the reply once and drop the duplicate.
   auto fabric = make_memory_fabric(2);
-  ServeClient client(*fabric[1], 0);
-  const auto id = client.submit("anything", {1});
+  AsyncServeClient client(*fabric[1], 0);
+  auto fut = client.submit_async("anything", {1});
 
   std::vector<std::uint8_t> frame;
   ASSERT_TRUE(fabric[0]->recv(frame, 2'000'000us));
@@ -480,12 +512,14 @@ TEST(ServeFrontend, DuplicateJobDoneIsDroppedByClient) {
   fabric[0]->send(1, done);
   fabric[0]->send(1, done);  // duplicate delivery
 
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 2'000'000us));
-  EXPECT_EQ(reply.error, anahy::kOk);
-  // Pump once more: the duplicate must be classified and dropped, never
-  // resurface as a phantom reply.
-  EXPECT_FALSE(client.wait(id, reply, 50'000us));
+  ASSERT_EQ(fut.wait_for(2s), std::future_status::ready);
+  EXPECT_EQ(fut.get().error, anahy::kOk);
+  // The duplicate must be classified and dropped, never resurface as a
+  // phantom reply.
+  const auto until = std::chrono::steady_clock::now() + 2s;
+  while (client.duplicate_replies() == 0 &&
+         std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(1ms);
   EXPECT_EQ(client.duplicate_replies(), 1u);
 }
 
@@ -493,7 +527,7 @@ TEST(ServeFrontend, CallRetriesThenReportsUnreachable) {
   // Node 0 exists but runs no front-end: submissions vanish into its
   // inbox. call() must retry, then give up with kUnreachable — not hang.
   auto fabric = make_memory_fabric(2);
-  ServeClient client(*fabric[1], 0);
+  AsyncServeClient client(*fabric[1], 0);
   CallOptions opts;
   opts.deadline = 150'000us;
   opts.initial_backoff = 10'000us;
@@ -521,7 +555,7 @@ TEST(ServeFrontend, CallSurvivesAnUnansweredFirstAttempt) {
     std::this_thread::sleep_for(60ms);
     frontend = std::make_unique<ServeFrontEnd>(server, *fabric[0], reg);
   });
-  ServeClient client(*fabric[1], 0);
+  AsyncServeClient client(*fabric[1], 0);
   CallOptions opts;
   opts.deadline = 5'000'000us;
   opts.initial_backoff = 20'000us;
@@ -542,7 +576,7 @@ TEST(ServeFrontend, FaultedJobCarriesMessageOverMemoryFabric) {
   anahy::serve::JobServer server(anahy::serve::ServerOptions{});
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
-  ServeClient client(*fabric[1], 0);
+  AsyncServeClient client(*fabric[1], 0);
   const auto reply = client.call("throwing_fn", {});
   EXPECT_EQ(reply.error, anahy::kFaulted);
   EXPECT_NE(reply.text().find("remote boom"), std::string::npos)
@@ -557,7 +591,7 @@ TEST(ServeFrontend, FaultedJobCarriesMessageOverTcp) {
   anahy::serve::JobServer server(anahy::serve::ServerOptions{});
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
-  ServeClient client(*fabric[1], 0);
+  AsyncServeClient client(*fabric[1], 0);
   const auto reply = client.call("throwing_fn", {});
   EXPECT_EQ(reply.error, anahy::kFaulted);
   EXPECT_NE(reply.text().find("remote boom"), std::string::npos);
@@ -581,11 +615,10 @@ TEST(ServeFrontend, GarbageFramesAreCountedAndSurvived) {
   fabric[1]->send(0, corrupted);
 
   // The pump survives all three and still serves real traffic.
-  ServeClient client(*fabric[1], 0);
-  const auto id = client.submit("sum_u32", numbers_payload(10));
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 2'000'000us));
-  EXPECT_EQ(reply.error, anahy::kOk);
+  AsyncServeClient client(*fabric[1], 0);
+  auto fut = client.submit_async("sum_u32", numbers_payload(10));
+  ASSERT_EQ(fut.wait_for(2s), std::future_status::ready);
+  EXPECT_EQ(fut.get().error, anahy::kOk);
   EXPECT_EQ(frontend.rejected_frames(), 3u);
   EXPECT_EQ(frontend.last_reject_diagnostic().rfind("ANAHY-F00", 0), 0u)
       << frontend.last_reject_diagnostic();
@@ -600,7 +633,7 @@ TEST(ServeFrontend, RetiredShutdownFrameIsRejectedNotObeyed) {
 
   // Any peer may send this frame; the server must keep answering.
   fabric[1]->send(0, retired_shutdown_frame());
-  ServeClient client(*fabric[1], 0);
+  AsyncServeClient client(*fabric[1], 0);
   const auto reply = client.call("sum_u32", numbers_payload(10));
   EXPECT_EQ(reply.error, anahy::kOk);
   EXPECT_EQ(frontend.rejected_frames(), 1u);
@@ -650,36 +683,14 @@ TEST(ServeFrontend, PingedClientThatPongsIsNotReaped) {
   opts.dead_after = 50'000us;
   ServeFrontEnd frontend(server, *fabric[0], reg, opts);
 
-  // wait() pumps and answers pings, so a client that is merely *slow* to
+  // The client's pump answers pings, so a client that is merely *slow* to
   // collect a long job is never declared dead.
-  ServeClient client(*fabric[1], 0);
-  const auto id = client.submit("sum_u32", numbers_payload(1000));
-  ServeClient::Reply reply;
-  ASSERT_TRUE(client.wait(id, reply, 5'000'000us));
+  AsyncServeClient client(*fabric[1], 0);
+  auto fut = client.submit_async("sum_u32", numbers_payload(1000), within(5s));
+  ASSERT_EQ(fut.wait_for(5s), std::future_status::ready);
+  const Reply reply = fut.get();
   EXPECT_EQ(reply.error, anahy::kOk);
   EXPECT_EQ(frontend.clients_reaped(), 0u);
-}
-
-using ServeClientDeathTest = ::testing::Test;
-
-TEST(ServeClientDeathTest, ConcurrentUseAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto fabric = make_memory_fabric(2);
-  ServeClient client(*fabric[1], 0);
-  EXPECT_DEATH(
-      {
-        // One thread parks inside wait() while another calls submit():
-        // the documented NOT-thread-safe contract must abort loudly, not
-        // corrupt the pending-reply map.
-        std::thread waiter([&] {
-          ServeClient::Reply r;
-          client.wait(1, r, std::chrono::microseconds{1'000'000});
-        });
-        std::this_thread::sleep_for(100ms);
-        client.submit("x", {});
-        waiter.join();
-      },
-      "NOT thread-safe");
 }
 
 TEST(ServeFrontend, MultipleClientsOverTcpLoopback) {
@@ -691,15 +702,14 @@ TEST(ServeFrontend, MultipleClientsOverTcpLoopback) {
   anahy::serve::JobServer server(std::move(opts));
   ServeFrontEnd frontend(server, *fabric[0], reg);
 
-  ServeClient c1(*fabric[1], 0);
-  ServeClient c2(*fabric[2], 0);
-  const auto id1 = c1.submit("sum_u32", numbers_payload(10));
-  const auto id2 = c2.submit("sum_u32", numbers_payload(20));
-  ServeClient::Reply r1, r2;
-  ASSERT_TRUE(c1.wait(id1, r1, 5'000'000us));
-  ASSERT_TRUE(c2.wait(id2, r2, 5'000'000us));
-  EXPECT_EQ(result_u32(r1), 55u);
-  EXPECT_EQ(result_u32(r2), 210u);
+  AsyncServeClient c1(*fabric[1], 0);
+  AsyncServeClient c2(*fabric[2], 0);
+  auto f1 = c1.submit_async("sum_u32", numbers_payload(10), within(5s));
+  auto f2 = c2.submit_async("sum_u32", numbers_payload(20), within(5s));
+  ASSERT_EQ(f1.wait_for(5s), std::future_status::ready);
+  ASSERT_EQ(f2.wait_for(5s), std::future_status::ready);
+  EXPECT_EQ(result_u32(f1.get()), 55u);
+  EXPECT_EQ(result_u32(f2.get()), 210u);
 }
 
 }  // namespace

@@ -96,7 +96,7 @@ int run_rejuvenate(const std::string& target, std::uint32_t node) {
               << e.what() << ")\n";
     return 1;
   }
-  cluster::ServeClient client(*tp, /*server_node=*/0);
+  cluster::AsyncServeClient client(*tp, /*server_node=*/0);
   std::string report;
   if (client.rejuvenate(report, cluster::CallOptions{}, node) != anahy::kOk) {
     std::cerr << "anahy-aging: rejuvenation command to " << target
