@@ -65,7 +65,8 @@ BENCHMARK(BM_FanOut)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_PolicyPushPop(benchmark::State& state) {
   const auto kind = static_cast<anahy::PolicyKind>(state.range(0));
-  auto policy = anahy::make_policy(kind, 4);
+  anahy::observe::Telemetry tele(4);
+  auto policy = anahy::make_policy(kind, 4, tele);
   auto task = std::make_shared<anahy::Task>(
       1, [](void*) -> void* { return nullptr; }, nullptr,
       anahy::TaskAttributes{}, 0, 1);
@@ -80,7 +81,8 @@ BENCHMARK(BM_PolicyPushPop)
     ->Arg(static_cast<int>(anahy::PolicyKind::kWorkStealing));
 
 void BM_StealPath(benchmark::State& state) {
-  anahy::WorkStealingPolicy policy(4);
+  anahy::observe::Telemetry tele(4);
+  anahy::WorkStealingPolicy policy(4, tele);
   auto task = std::make_shared<anahy::Task>(
       1, [](void*) -> void* { return nullptr; }, nullptr,
       anahy::TaskAttributes{}, 0, 1);

@@ -1,24 +1,24 @@
 // Microbenchmark: cost of the observe subsystem on the spawn hot path.
 //
 // Runs the fib spawn-throughput workload (same shape as
-// micro_spawn_throughput, which produced PR 1's BENCH_spawn.json) in three
-// modes at 2 and 4 VPs:
+// micro_spawn_throughput, which produced BENCH_spawn.json) in two modes at
+// 2 and 4 VPs:
 //
-//   off       — Options::telemetry = false, no observe code on the path
-//   counters  — telemetry on (the default): per-VP striped counters fed
-//               from fork/join/run/steal/idle, profiling off
-//   profile   — telemetry + Options::profile: per-task spans buffered
-//               per VP and stamped fork/join edges (implies tracing)
+//   default   — the kernel as every runtime runs it: the per-VP counter
+//               bank (observe::Telemetry) fed from fork/join/run/steal/
+//               idle, profiling off
+//   profile   — Options::profile on top: per-task spans buffered per VP
+//               and stamped fork/join edges (implies tracing)
 //
-// The budget (docs/OBSERVE.md): counters-mode throughput must stay within
-// 2% of off mode — telemetry is meant to be always-on. Profile mode pays
-// for timestamps and span buffers and has no budget; the number here just
-// tells you what turning it on costs.
+// The counter bank is the kernel's only bank and cannot be switched off,
+// so there is no counter budget to check here; profile mode pays for
+// timestamps and span buffers, and the ratio tells you what turning it on
+// costs.
 //
 // Emits machine-readable results to BENCH_observe.json (--out=...), with
-// per-VP overhead ratios (mode best_seconds / off best_seconds). Reps are
-// interleaved across configurations (see run_all) so machine drift does
-// not masquerade as mode overhead.
+// per-VP overhead ratios (profile best_seconds / default best_seconds).
+// Reps are interleaved across configurations (see run_all) so machine
+// drift does not masquerade as mode overhead.
 //
 // Flags: --fib=N (default 21)  --reps=R (default 3)  --out=PATH
 #include <cstdio>
@@ -33,18 +33,14 @@
 
 namespace {
 
-constexpr double kCountersBudget = 1.02;  // <= 2% over off mode
-
 struct Mode {
   const char* name;
-  bool telemetry;
   bool profile;
 };
 
 constexpr Mode kModes[] = {
-    {"off", false, false},
-    {"counters", true, false},
-    {"profile", true, true},
+    {"default", false},
+    {"profile", true},
 };
 
 struct Result {
@@ -58,7 +54,6 @@ struct Result {
 double run_once(const Mode& mode, int vps, long fib_n) {
   anahy::Options o;
   o.num_vps = vps;
-  o.telemetry = mode.telemetry;
   o.profile = mode.profile;
   anahy::Runtime rt(o);
   (void)apps::fib_anahy(rt, 5);  // warm pools before timing
@@ -109,16 +104,16 @@ std::vector<Result> run_all(const std::vector<int>& vps_list, long fib_n,
   return results;
 }
 
-double ratio_vs_off(const std::vector<Result>& results,
-                    const std::string& mode, int vps) {
-  double off = 0;
+double ratio_vs_default(const std::vector<Result>& results,
+                        const std::string& mode, int vps) {
+  double base = 0;
   double it = 0;
   for (const Result& r : results) {
     if (r.vps != vps) continue;
-    if (r.mode == "off") off = r.best_seconds;
+    if (r.mode == "default") base = r.best_seconds;
     if (r.mode == mode) it = r.best_seconds;
   }
-  return off > 0 ? it / off : 0;
+  return base > 0 ? it / base : 0;
 }
 
 void write_json(const std::string& path, long fib_n, int reps,
@@ -135,7 +130,6 @@ void write_json(const std::string& path, long fib_n, int reps,
   std::fprintf(f, "  \"fib_n\": %ld,\n", fib_n);
   std::fprintf(f, "  \"tasks_per_run\": %ld,\n", apps::fib_task_count(fib_n));
   std::fprintf(f, "  \"reps\": %d,\n", reps);
-  std::fprintf(f, "  \"counters_budget\": %.2f,\n", kCountersBudget);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
@@ -147,24 +141,13 @@ void write_json(const std::string& path, long fib_n, int reps,
                  r.mean_seconds, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  // best_seconds ratios vs off mode, keyed by VP count. counters is the
-  // budgeted one; profile is informational.
-  bool budget_ok = true;
-  std::fprintf(f, "  \"counters_vs_off\": {");
-  for (std::size_t i = 0; i < vps_list.size(); ++i) {
-    const double ratio = ratio_vs_off(results, "counters", vps_list[i]);
-    if (ratio > kCountersBudget) budget_ok = false;
-    std::fprintf(f, "%s\"%d\": %.4f", i == 0 ? "" : ", ", vps_list[i], ratio);
-  }
-  std::fprintf(f, "},\n");
-  std::fprintf(f, "  \"profile_vs_off\": {");
+  // best_seconds ratios vs default mode, keyed by VP count.
+  std::fprintf(f, "  \"profile_vs_default\": {");
   for (std::size_t i = 0; i < vps_list.size(); ++i) {
     std::fprintf(f, "%s\"%d\": %.4f", i == 0 ? "" : ", ", vps_list[i],
-                 ratio_vs_off(results, "profile", vps_list[i]));
+                 ratio_vs_default(results, "profile", vps_list[i]));
   }
-  std::fprintf(f, "},\n");
-  std::fprintf(f, "  \"counters_within_budget\": %s\n",
-               budget_ok ? "true" : "false");
+  std::fprintf(f, "}\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
 }
@@ -183,23 +166,17 @@ int main(int argc, char** argv) {
               fib_n, apps::fib_task_count(fib_n), reps);
 
   const std::vector<Result> results = run_all(vps_list, fib_n, reps);
-  benchutil::Table table({"mode", "vps", "tasks/sec", "best s", "vs off"});
+  benchutil::Table table(
+      {"mode", "vps", "tasks/sec", "best s", "vs default"});
   for (const Result& r : results) {
     char ratio[16];
     std::snprintf(ratio, sizeof ratio, "%.4f",
-                  ratio_vs_off(results, r.mode, r.vps));
+                  ratio_vs_default(results, r.mode, r.vps));
     table.add_row({r.mode, std::to_string(r.vps),
                    benchutil::Table::num(r.tasks_per_sec),
                    benchutil::Table::num(r.best_seconds), ratio});
   }
   std::printf("%s\n", table.to_text().c_str());
-
-  for (const int vps : vps_list) {
-    const double ratio = ratio_vs_off(results, "counters", vps);
-    std::printf("vps=%d: counters %.2f%% over off (budget 2%%)%s\n", vps,
-                (ratio - 1.0) * 100.0,
-                ratio > kCountersBudget ? "  ** OVER BUDGET **" : "");
-  }
 
   write_json(out, fib_n, reps, vps_list, results);
   std::printf("wrote %s\n", out.c_str());

@@ -68,22 +68,24 @@ class EventCount {
   void notify_all() { notify(true); }
 
   /// Notifications that found a sleeper / that skipped the slow path
-  /// entirely (monitoring).
+  /// entirely (monitoring). Every notify bumps the epoch exactly once, so
+  /// the skipped ones are the epoch minus the wakeups. wakeups_ is read
+  /// first, with acquire: each wakeup's release increment follows its own
+  /// epoch bump, so the epoch read after it is at least as large and the
+  /// difference cannot underflow.
   [[nodiscard]] std::uint64_t wakeups() const {
     return wakeups_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t wakeups_skipped() const {
-    return skipped_.load(std::memory_order_relaxed);
+    const std::uint64_t woke = wakeups_.load(std::memory_order_acquire);
+    return epoch_.load(std::memory_order_relaxed) - woke;
   }
 
  private:
   void notify(bool all) {
     epoch_.fetch_add(1, std::memory_order_seq_cst);
-    if (waiters_.load(std::memory_order_seq_cst) == 0) {
-      skipped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
+    if (waiters_.load(std::memory_order_seq_cst) == 0) return;
+    wakeups_.fetch_add(1, std::memory_order_release);
     {
       // Taking the mutex serializes with a waiter between its epoch
       // re-check and its cv wait, so the notify below cannot be lost.
@@ -99,7 +101,6 @@ class EventCount {
   std::atomic<Epoch> epoch_{0};
   std::atomic<std::int64_t> waiters_{0};
   std::atomic<std::uint64_t> wakeups_{0};
-  std::atomic<std::uint64_t> skipped_{0};
   std::mutex mu_;
   std::condition_variable_any cv_;
 };

@@ -1,37 +1,45 @@
 #include "anahy/observe/telemetry.hpp"
 
+#include <algorithm>
+
 namespace anahy::observe {
 
+namespace {
+
+using Field = std::uint64_t VpCounters::*;
+
+/// The VpCounters field of each slot counter, in Telemetry::Counter order.
+/// Every one but the depth peak (a high-water mark) adds up across slots
+/// and subtracts across snapshots; so does the derived `joins`.
+constexpr std::array<Field, 18> kSlotFields = {
+    &VpCounters::forks,           &VpCounters::joins_immediate,
+    &VpCounters::joins_inlined,   &VpCounters::joins_helped,
+    &VpCounters::joins_slept,     &VpCounters::continuations,
+    &VpCounters::tasks_run,       &VpCounters::tasks_finished,
+    &VpCounters::tasks_run_by_main,
+    &VpCounters::steal_attempts,  &VpCounters::steal_successes,
+    &VpCounters::idle_spins,      &VpCounters::idle_parks,
+    &VpCounters::idle_park_ns,    &VpCounters::deque_depth_sum,
+    &VpCounters::deque_depth_samples,
+    &VpCounters::deque_depth_peak,
+    &VpCounters::joins,  // derived: not a slot counter
+};
+
+bool additive(Field f) { return f != &VpCounters::deque_depth_peak; }
+
+}  // namespace
+
 VpCounters& VpCounters::operator+=(const VpCounters& o) {
-  forks += o.forks;
-  joins += o.joins;
-  tasks_run += o.tasks_run;
-  steal_attempts += o.steal_attempts;
-  steal_successes += o.steal_successes;
-  idle_spins += o.idle_spins;
-  idle_parks += o.idle_parks;
-  idle_park_ns += o.idle_park_ns;
-  deque_depth_sum += o.deque_depth_sum;
-  deque_depth_samples += o.deque_depth_samples;
-  deque_depth_peak = deque_depth_peak > o.deque_depth_peak
-                         ? deque_depth_peak
-                         : o.deque_depth_peak;
+  for (const Field f : kSlotFields)
+    if (additive(f)) this->*f += o.*f;
+  deque_depth_peak = std::max(deque_depth_peak, o.deque_depth_peak);
   return *this;
 }
 
 VpCounters VpCounters::minus(const VpCounters& earlier) const {
-  VpCounters d;
-  d.forks = forks - earlier.forks;
-  d.joins = joins - earlier.joins;
-  d.tasks_run = tasks_run - earlier.tasks_run;
-  d.steal_attempts = steal_attempts - earlier.steal_attempts;
-  d.steal_successes = steal_successes - earlier.steal_successes;
-  d.idle_spins = idle_spins - earlier.idle_spins;
-  d.idle_parks = idle_parks - earlier.idle_parks;
-  d.idle_park_ns = idle_park_ns - earlier.idle_park_ns;
-  d.deque_depth_sum = deque_depth_sum - earlier.deque_depth_sum;
-  d.deque_depth_samples = deque_depth_samples - earlier.deque_depth_samples;
-  d.deque_depth_peak = deque_depth_peak;  // peaks do not subtract
+  VpCounters d = *this;  // peaks do not subtract
+  for (const Field f : kSlotFields)
+    if (additive(f)) d.*f -= earlier.*f;
   return d;
 }
 
@@ -91,6 +99,17 @@ void Telemetry::sample_deque_depth(int vp, std::size_t depth) {
   }
 }
 
+VpCounters Telemetry::load(const Slot& slot) {
+  static_assert(kSlotFields.size() == kNumCounters + 1,
+                "one field per slot counter, then the derived joins");
+  VpCounters c;
+  for (unsigned i = 0; i < kNumCounters; ++i)
+    c.*kSlotFields[i] = slot.c[i].load(std::memory_order_relaxed);
+  c.joins =
+      c.joins_immediate + c.joins_inlined + c.joins_helped + c.joins_slept;
+  return c;
+}
+
 Snapshot Telemetry::snapshot() const {
   Snapshot s;
   s.epoch = snapshot_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -98,26 +117,18 @@ Snapshot Telemetry::snapshot() const {
                      std::chrono::steady_clock::now() - start_)
                      .count();
   s.num_vps = num_vps_;
-  s.per_vp.resize(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& slot = slots_[i];
-    VpCounters& c = s.per_vp[i];
-    c.forks = slot.c[kForks].load(std::memory_order_relaxed);
-    c.joins = slot.c[kJoins].load(std::memory_order_relaxed);
-    c.tasks_run = slot.c[kTasksRun].load(std::memory_order_relaxed);
-    c.steal_attempts = slot.c[kStealAttempts].load(std::memory_order_relaxed);
-    c.steal_successes =
-        slot.c[kStealSuccesses].load(std::memory_order_relaxed);
-    c.idle_spins = slot.c[kIdleSpins].load(std::memory_order_relaxed);
-    c.idle_parks = slot.c[kIdleParks].load(std::memory_order_relaxed);
-    c.idle_park_ns = slot.c[kIdleParkNs].load(std::memory_order_relaxed);
-    c.deque_depth_sum = slot.c[kDepthSum].load(std::memory_order_relaxed);
-    c.deque_depth_samples =
-        slot.c[kDepthSamples].load(std::memory_order_relaxed);
-    c.deque_depth_peak = slot.c[kDepthPeak].load(std::memory_order_relaxed);
-    s.total += c;
+  s.per_vp.reserve(slots_.size());
+  for (const Slot& slot : slots_) {
+    s.per_vp.push_back(load(slot));
+    s.total += s.per_vp.back();
   }
   return s;
+}
+
+VpCounters Telemetry::totals() const {
+  VpCounters t;
+  for (const Slot& slot : slots_) t += load(slot);
+  return t;
 }
 
 }  // namespace anahy::observe

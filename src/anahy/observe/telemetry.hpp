@@ -1,25 +1,26 @@
-// anahy::observe — always-available, low-overhead runtime telemetry.
+// anahy::observe — the executive kernel's one counter bank.
 //
-// The scheduler's RuntimeStats answers "how many events happened in this
-// runtime"; it cannot answer the questions an operator of a long-lived
-// serving deployment asks: *which VP* is starving, how much of the fleet's
-// time is idle, whether steals are succeeding or spinning. Telemetry keeps
-// one cache-line-padded counter slot per virtual processor (plus one shared
-// slot for external threads), fed directly from the scheduling hot paths:
+// Telemetry keeps one cache-line-padded counter slot per virtual processor
+// (plus one shared slot for external threads), fed directly from the
+// scheduling hot paths:
 //
-//   - fork / join / task-run events (scheduler),
+//   - fork / run / continuation events and joins by category (scheduler),
 //   - steal attempts and successes per thief (work-stealing policy),
 //   - idle spins and parks, with parked nanoseconds (VP wait loop),
 //   - ready-deque depth samples at push time (policy).
 //
-// Write discipline mirrors RuntimeStats: every worker slot has exactly one
-// writing thread, so an increment is a relaxed load + store on a private
-// line; only the shared external slot pays a real fetch_add. Reading never
-// stops the workers: snapshot() is wait-free, sums the slots, stamps a
-// monotonically increasing epoch, and computes the derived gauges (steal
-// success ratio, idle fraction, average deque depth) operators alert on.
-// Counters are monotonic within one runtime lifetime, so two snapshots can
-// be subtracted (delta) to rate them over an interval.
+// Its totals are Runtime::stats(); its per-VP slots answer what an operator
+// of a serving deployment asks: *which VP* is starving, how much of the
+// fleet's time is idle, whether steals are succeeding or spinning.
+//
+// Every worker slot has exactly one writing thread, so an increment is a
+// relaxed load + store on a private line; only the shared external slot
+// pays a real fetch_add. Reading never stops the workers: snapshot() is
+// wait-free, sums the slots, stamps a monotonically increasing epoch, and
+// computes the derived gauges (steal success ratio, idle fraction, average
+// deque depth) operators alert on. Counters are monotonic within one
+// runtime lifetime, so two snapshots can be subtracted (delta) to rate
+// them over an interval.
 #pragma once
 
 #include <array>
@@ -33,11 +34,29 @@
 
 namespace anahy::observe {
 
+/// The category of a join that consumed its target (docs/SCHEDULER.md).
+enum class JoinKind : unsigned {
+  kImmediate,  ///< target finished before the flow split
+  kInlined,    ///< joiner ran the target itself
+  kHelped,     ///< joiner ran other tasks while it waited
+  kSlept,      ///< joiner waited and ran nothing meanwhile
+};
+
 /// One slot's counter values (also used for aggregated totals).
 struct VpCounters {
   std::uint64_t forks = 0;
+  /// Joins that consumed their target: the sum of the four categories
+  /// below, so the categories partition it by construction.
   std::uint64_t joins = 0;
-  std::uint64_t tasks_run = 0;
+  std::uint64_t joins_immediate = 0;
+  std::uint64_t joins_inlined = 0;
+  std::uint64_t joins_helped = 0;
+  std::uint64_t joins_slept = 0;
+  std::uint64_t continuations = 0;  ///< logical T_i -> T_{i+1} flow splits
+  std::uint64_t tasks_run = 0;       ///< counted before the body runs
+  std::uint64_t tasks_finished = 0;  ///< counted after the body returned
+  /// Runs by a thread that is not a worker VP (main or a foreign helper).
+  std::uint64_t tasks_run_by_main = 0;
   std::uint64_t steal_attempts = 0;
   std::uint64_t steal_successes = 0;
   std::uint64_t idle_spins = 0;   ///< wait-loop passes that found no task
@@ -95,8 +114,16 @@ class Telemetry {
   // identity: out-of-range ids (kExternalVp, the policy's external slot
   // index) land on the shared external slot.
   void on_fork(int vp) { add(vp, kForks, 1); }
-  void on_join(int vp) { add(vp, kJoins, 1); }
-  void on_task_run(int vp) { add(vp, kTasksRun, 1); }
+  void on_join(int vp, JoinKind kind) {
+    add(vp, static_cast<Counter>(kJoinsImmediate + static_cast<unsigned>(kind)),
+        1);
+  }
+  void on_continuation(int vp) { add(vp, kContinuations, 1); }
+  void on_task_run(int vp, bool by_main) {
+    add(vp, kTasksRun, 1);
+    if (by_main) add(vp, kTasksRunByMain, 1);
+  }
+  void on_task_finished(int vp) { add(vp, kTasksFinished, 1); }
   void on_steal_attempt(int vp) { add(vp, kStealAttempts, 1); }
   void on_steal_success(int vp) { add(vp, kStealSuccesses, 1); }
   void on_idle_spin(int vp) { add(vp, kIdleSpins, 1); }
@@ -111,11 +138,22 @@ class Telemetry {
   /// individually exact (monotonic, single-writer per worker slot).
   [[nodiscard]] Snapshot snapshot() const;
 
+  /// Counter totals over every slot: what snapshot() reports as `total`,
+  /// without the per-VP vector or the epoch (cheap enough to poll).
+  [[nodiscard]] VpCounters totals() const;
+
  private:
+  /// Slot counters, in the order of kSlotFields (telemetry.cpp).
   enum Counter : unsigned {
     kForks,
-    kJoins,
+    kJoinsImmediate,  // the four join categories, in JoinKind order
+    kJoinsInlined,
+    kJoinsHelped,
+    kJoinsSlept,
+    kContinuations,
     kTasksRun,
+    kTasksFinished,
+    kTasksRunByMain,
     kStealAttempts,
     kStealSuccesses,
     kIdleSpins,
@@ -132,6 +170,9 @@ class Telemetry {
   struct alignas(64) Slot {
     std::array<std::atomic<std::uint64_t>, kNumCounters> c{};
   };
+
+  /// One slot's counters (joins derived from the categories).
+  [[nodiscard]] static VpCounters load(const Slot& slot);
 
   [[nodiscard]] std::size_t slot_of(int vp) const {
     return vp >= 0 && vp < num_vps_ ? static_cast<std::size_t>(vp)

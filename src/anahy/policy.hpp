@@ -59,16 +59,14 @@ class SchedulingPolicy {
     return by_class;
   }
 
-  /// Attaches the scheduler's telemetry sink (observe::Telemetry) so the
-  /// policy can feed per-VP steal and deque-depth counters. Null detaches.
-  /// Default: the policy records nothing.
-  virtual void set_telemetry(observe::Telemetry* /*telemetry*/) {}
-
   [[nodiscard]] virtual PolicyKind kind() const = 0;
 };
 
 /// Factory: builds the policy implementation for `kind` with `num_vps`
 /// worker slots (work-stealing keeps one deque per VP plus one external).
-std::unique_ptr<SchedulingPolicy> make_policy(PolicyKind kind, int num_vps);
+/// Policies that steal or sample deque depths feed `telemetry`, which must
+/// outlive the policy; the central queues record nothing.
+std::unique_ptr<SchedulingPolicy> make_policy(PolicyKind kind, int num_vps,
+                                              observe::Telemetry& telemetry);
 
 }  // namespace anahy

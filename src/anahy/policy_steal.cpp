@@ -7,8 +7,10 @@
 
 namespace anahy {
 
-WorkStealingPolicy::WorkStealingPolicy(int num_vps)
-    : num_vps_(static_cast<std::size_t>(std::max(num_vps, 1))) {
+WorkStealingPolicy::WorkStealingPolicy(int num_vps,
+                                       observe::Telemetry& telemetry)
+    : num_vps_(static_cast<std::size_t>(std::max(num_vps, 1))),
+      tele_(telemetry) {
   if (num_vps < 1)
     throw std::invalid_argument("WorkStealingPolicy needs >= 1 VP");
   deques_.reserve(num_vps_ * kClasses);
@@ -49,7 +51,7 @@ void WorkStealingPolicy::push(TaskPtr task, int vp) {
   bump_ready(s, cls, +1);
   // Depth is a statistical gauge: sample one push in kDepthSampleStride
   // per slot instead of paying the telemetry call on every push.
-  const bool sample_depth = tele_ != nullptr && tick_push(s);
+  const bool sample_depth = tick_push(s);
   if (s == num_vps_) {
     std::size_t depth;
     {
@@ -63,7 +65,7 @@ void WorkStealingPolicy::push(TaskPtr task, int vp) {
       q.push_back(std::move(task));
       depth = q.size();
     }
-    if (sample_depth) tele_->sample_deque_depth(vp, depth);
+    if (sample_depth) tele_.sample_deque_depth(vp, depth);
     return;
   }
   Task* raw = task.get();
@@ -84,7 +86,7 @@ void WorkStealingPolicy::push(TaskPtr task, int vp) {
     }
   }
   d.push_bottom(raw);
-  if (sample_depth) tele_->sample_deque_depth(vp, d.approx_size());
+  if (sample_depth) tele_.sample_deque_depth(vp, d.approx_size());
 }
 
 TaskPtr WorkStealingPolicy::claim_deque_entry(Task* raw, bool stolen,
@@ -162,16 +164,12 @@ TaskPtr WorkStealingPolicy::steal_class(std::size_t self, std::size_t cls) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t victim = (start + i) % n;
     if (victim == self) continue;
-    steal_attempts_.fetch_add(1, std::memory_order_relaxed);
-    // Per-thief telemetry: `self` is this policy's slot index, which is
+    // Per-thief counters: `self` is this policy's slot index, which is
     // exactly the telemetry slot (the external slot maps to "external").
-    if (tele_ != nullptr)
-      tele_->on_steal_attempt(static_cast<int>(self));
+    tele_.on_steal_attempt(static_cast<int>(self));
     if (victim == num_vps_) {
       if (TaskPtr t = steal_external(cls, self)) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        if (tele_ != nullptr)
-          tele_->on_steal_success(static_cast<int>(self));
+        tele_.on_steal_success(static_cast<int>(self));
         return t;
       }
       continue;
@@ -187,9 +185,7 @@ TaskPtr WorkStealingPolicy::steal_class(std::size_t self, std::size_t cls) {
         continue;
       }
       if (TaskPtr t = claim_deque_entry(*e, /*stolen=*/true, self)) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        if (tele_ != nullptr)
-          tele_->on_steal_success(static_cast<int>(self));
+        tele_.on_steal_success(static_cast<int>(self));
         return t;
       }
     }

@@ -46,7 +46,9 @@ namespace anahy {
 
 class WorkStealingPolicy final : public SchedulingPolicy {
  public:
-  explicit WorkStealingPolicy(int num_vps);
+  /// `telemetry` receives the per-thief steal attempts/successes and the
+  /// push-time deque-depth samples; it must outlive the policy.
+  WorkStealingPolicy(int num_vps, observe::Telemetry& telemetry);
   ~WorkStealingPolicy() override;
 
   void push(TaskPtr task, int vp) override;
@@ -55,9 +57,6 @@ class WorkStealingPolicy final : public SchedulingPolicy {
   [[nodiscard]] std::size_t approx_size() const override;
   [[nodiscard]] std::array<std::size_t, kNumPriorities> approx_size_by_class()
       const override;
-  void set_telemetry(observe::Telemetry* telemetry) override {
-    tele_ = telemetry;
-  }
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::kWorkStealing;
   }
@@ -72,15 +71,6 @@ class WorkStealingPolicy final : public SchedulingPolicy {
   /// pushes per slot. Depth is a statistical gauge; sampling every push
   /// costs an outlined call on the hottest path for no extra information.
   static constexpr std::uint32_t kDepthSampleStride = 16;
-
-  /// Cumulative number of successful steals (for runtime statistics).
-  [[nodiscard]] std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
-  /// Cumulative number of steal attempts, successful or not.
-  [[nodiscard]] std::uint64_t steal_attempts() const {
-    return steal_attempts_.load(std::memory_order_relaxed);
-  }
 
  private:
   static constexpr std::size_t kClasses = kNumPriorities;
@@ -152,11 +142,9 @@ class WorkStealingPolicy final : public SchedulingPolicy {
     }
     return v % kDepthSampleStride == 0;
   }
-  /// Telemetry sink (null = detached); fed per-VP steal attempts/successes
-  /// and push-time deque-depth samples.
-  observe::Telemetry* tele_ = nullptr;
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> steal_attempts_{0};
+  /// Counter bank fed per-thief steal attempts/successes and push-time
+  /// deque-depth samples.
+  observe::Telemetry& tele_;
   std::atomic<std::uint64_t> rr_seed_{0};
 };
 

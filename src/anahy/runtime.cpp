@@ -25,8 +25,6 @@ Options Options::from_env() {
     opts.check = std::string_view{v} == "1";
   if (const char* v = std::getenv("ANAHY_DRAIN_ON_EXIT"))
     opts.drain_on_exit = std::string_view{v} == "1";
-  if (const char* v = std::getenv("ANAHY_TELEMETRY"))
-    opts.telemetry = std::string_view{v} != "0";
   if (const char* v = std::getenv("ANAHY_PROFILE"))
     opts.profile = std::string_view{v} == "1";
   return opts;
@@ -40,7 +38,6 @@ Runtime::Runtime(const Options& opts) : opts_(opts) {
   sopts.trace = opts_.trace;
   sopts.external_helps = opts_.main_participates;
   sopts.check = opts_.check;
-  sopts.telemetry = opts_.telemetry;
   sopts.profile = opts_.profile;
   scheduler_ = std::make_unique<Scheduler>(sopts);
 

@@ -44,19 +44,14 @@ struct Options {
   /// this being true so drain() means "all admitted work ran").
   bool drain_on_exit = false;
 
-  /// Per-VP runtime telemetry (anahy::observe; docs/OBSERVE.md). On by
-  /// default — a counter feed is one relaxed load+store on a VP-private
-  /// cache line; set false for the measured-zero-overhead configuration.
-  bool telemetry = true;
-
   /// Span profiling: record each task's execution interval and VP for
   /// Chrome-trace export (tools/anahy-profile) and per-job work/span
   /// analysis. Implies `trace`.
   bool profile = false;
 
   /// Reads ANAHY_NUM_VPS / ANAHY_POLICY / ANAHY_TRACE / ANAHY_CHECK /
-  /// ANAHY_DRAIN_ON_EXIT / ANAHY_TELEMETRY / ANAHY_PROFILE from the
-  /// environment, falling back to the defaults above.
+  /// ANAHY_DRAIN_ON_EXIT / ANAHY_PROFILE from the environment, falling
+  /// back to the defaults above.
   static Options from_env();
 };
 
@@ -113,8 +108,8 @@ class Runtime {
   [[nodiscard]] Scheduler::ListSnapshot lists() const {
     return scheduler_->lists();
   }
-  /// Per-VP telemetry snapshot (counters all zero when Options::telemetry
-  /// is off; ready_by_class is always live).
+  /// Per-VP telemetry snapshot (docs/OBSERVE.md); stats() reads the same
+  /// counter bank.
   [[nodiscard]] observe::Snapshot observe_snapshot() const {
     return scheduler_->observe_snapshot();
   }

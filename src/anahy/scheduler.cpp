@@ -2,9 +2,9 @@
 
 #include <cassert>
 #include <chrono>
+#include <sstream>
 
 #include "anahy/check/detector.hpp"
-#include "anahy/policy_steal.hpp"
 #include "anahy/task_pool.hpp"
 #include "anahy/trace_analysis.hpp"
 
@@ -35,17 +35,14 @@ std::string current_exception_message() {
 Scheduler::Scheduler(const Options& opts)
     : instance_id_(g_scheduler_instances.fetch_add(1) + 1),
       opts_(opts),
-      policy_(make_policy(opts.policy, opts.num_vps)) {
+      tele_(opts.num_vps),
+      policy_(make_policy(opts.policy, opts.num_vps, tele_)) {
   opts_.trace = opts_.trace || opts_.profile;  // spans need the graph
   trace_.set_enabled(opts_.trace);
   if (opts_.trace) {
     // The root flow (the paper's T0) exists before any fork.
     trace_.record_task(kRootTaskId, kInvalidTaskId, 0, false);
     trace_.record_label(kRootTaskId, "main");
-  }
-  if (opts_.telemetry) {
-    tele_ = std::make_unique<observe::Telemetry>(opts_.num_vps);
-    policy_->set_telemetry(tele_.get());
   }
   if (opts_.profile)
     profiler_ = std::make_unique<observe::SpanProfiler>(opts_.num_vps);
@@ -183,9 +180,8 @@ TaskPtr Scheduler::create_task(TaskBody body, void* input,
   // and retires the task instantly always finds the registry entry.
   register_task(task);
   policy_->push(task, vp);
-  stats_.record_ready_len(policy_->approx_size());
-  stats_.on_task_created();
-  if (tele_ != nullptr) tele_->on_fork(vp);
+  record_ready_len(policy_->approx_size());
+  tele_.on_fork(vp);
   // Eventcount notifies: a couple of atomic ops when nobody sleeps; the
   // condvar is only touched for genuinely idle VPs/joiners.
   ready_ec_.notify_one();
@@ -282,11 +278,14 @@ void Scheduler::run_task(const TaskPtr& task, int vp) {
   // (Job::complete), and must see itself as executed. `cancelled` is final
   // at this point, so the accounting matches the post-body state.
   if (ctx != nullptr) ctx->note_executed(cancelled);
-  // Same ordering for the observe counter: a body may publish its own
+  // Same ordering for the run counter: a body may publish its own
   // completion (a served job's root resolves its handle from inside
   // invoke()), and an observer that synchronizes with that completion —
-  // drain(), JobHandle::wait() — must already find this run counted.
-  if (tele_ != nullptr) tele_->on_task_run(vp);
+  // JobHandle::wait() — must already find this run counted. "Run by main"
+  // means run by any thread that is not one of this scheduler's worker
+  // VPs — the main flow (even when bound to a VP slot via
+  // main_participates) or a foreign helping thread.
+  tele_.on_task_run(vp, !is_bound_worker());
 
   // Per-task timing feeds the trace; two clock reads per task are a
   // measurable fraction of a fine-grained task, so skip them untraced.
@@ -336,12 +335,11 @@ void Scheduler::run_task(const TaskPtr& task, int vp) {
     }
   }
 
-  // Count the execution BEFORE the task becomes observable as finished, so
-  // a joiner that consumes the result immediately already sees the counter.
-  // "Run by main" means run by any thread that is not one of this
-  // scheduler's worker VPs — the main flow (even when bound to a VP slot
-  // via main_participates) or a foreign helping thread.
-  stats_.on_task_executed(!is_bound_worker());
+  // Count the finished body BEFORE the task becomes observable as
+  // finished, so a joiner that consumes the result immediately already
+  // sees the counter; drain()'s created == finished fixpoint relies on
+  // this count trailing the body (a body may still fork).
+  tele_.on_task_finished(vp);
 
   // The finish hook (and the auto-instrumented result write) must precede
   // the kFinished release store: a joiner that acquire-reads kFinished
@@ -368,7 +366,8 @@ void Scheduler::run_task(const TaskPtr& task, int vp) {
   join_ec_.notify_all();
 }
 
-int Scheduler::try_consume(const TaskPtr& task, void** result) {
+int Scheduler::try_consume(const TaskPtr& task, void** result,
+                           observe::JoinKind kind) {
   const int remaining = task->try_consume_join();
   if (remaining < 0) return kNotFound;  // join budget raced away
   if (result != nullptr) *result = task->result();
@@ -402,7 +401,7 @@ int Scheduler::try_consume(const TaskPtr& task, void** result) {
       trace_.record_edge(task->flow_id(), current_frame().flow_id,
                          TraceEdgeKind::kJoin);
   }
-  if (tele_ != nullptr) tele_->on_join(bound_vp());
+  tele_.on_join(bound_vp(), kind);
   return kOk;
 }
 
@@ -417,7 +416,7 @@ void Scheduler::record_double_join(const Task& task) {
 }
 
 int Scheduler::join(const TaskPtr& task, void** result, int vp) {
-  using JoinKind = RuntimeStats::JoinKind;
+  using observe::JoinKind;
   if (!task) return kNotFound;
   if (on_current_stack(task.get())) return kDeadlock;
 
@@ -429,9 +428,8 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
       return kNotFound;
     }
     if (s == TaskState::kFinished) {
-      const int rc = try_consume(task, result);
-      if (rc == kOk) stats_.on_join(JoinKind::kImmediate);
-      else if (rc == kNotFound) record_double_join(*task);
+      const int rc = try_consume(task, result, JoinKind::kImmediate);
+      if (rc == kNotFound) record_double_join(*task);
       return rc;
     }
   }
@@ -440,7 +438,7 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
   // the continuation T_{i+1}, blocked on `task` (paper §2.2.1). The VP
   // stays useful: it runs the target inline, or other ready tasks, and
   // sleeps only when the target runs elsewhere and nothing is ready.
-  stats_.on_continuation();
+  tele_.on_continuation(bound_vp());
   if (trace_.enabled()) {
     Frame& f = current_frame();
     const TaskId cont_id = next_id_.fetch_add(1, std::memory_order_relaxed);
@@ -471,14 +469,12 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
     if (s == TaskState::kFinished) {
       blocked_frames_.fetch_sub(1, std::memory_order_relaxed);
       unblocked_frames_.fetch_add(1, std::memory_order_relaxed);
-      const int rc = try_consume(task, result);
+      const int rc = try_consume(task, result,
+                                 ran_target  ? JoinKind::kInlined
+                                 : ran_other ? JoinKind::kHelped
+                                             : JoinKind::kSlept);
       unblocked_frames_.fetch_sub(1, std::memory_order_relaxed);
-      if (rc == kOk)
-        stats_.on_join(ran_target  ? JoinKind::kInlined
-                       : ran_other ? JoinKind::kHelped
-                                   : JoinKind::kSlept);
-      else if (rc == kNotFound)
-        record_double_join(*task);
+      if (rc == kNotFound) record_double_join(*task);
       return rc;
     }
 
@@ -521,9 +517,7 @@ int Scheduler::try_join(const TaskPtr& task, void** result) {
     return kNotFound;
   }
   if (s != TaskState::kFinished) return kBusy;
-  const int rc = try_consume(task, result);
-  if (rc == kOk) stats_.on_join(RuntimeStats::JoinKind::kImmediate);
-  return rc;
+  return try_consume(task, result, observe::JoinKind::kImmediate);
 }
 
 int Scheduler::join_by_id(TaskId id, void** result, int vp) {
@@ -550,7 +544,7 @@ int Scheduler::join_by_id(TaskId id, void** result, int vp) {
 TaskPtr Scheduler::wait_for_task(int vp, const std::stop_token& st) {
   for (;;) {
     if (TaskPtr task = policy_->pop(vp)) return task;
-    if (tele_ != nullptr) tele_->on_idle_spin(vp);
+    tele_.on_idle_spin(vp);
     const EventCount::Epoch e = ready_ec_.prepare_wait();
     if (st.stop_requested()) {
       ready_ec_.cancel_wait();
@@ -565,17 +559,13 @@ TaskPtr Scheduler::wait_for_task(int vp, const std::stop_token& st) {
     // Committing to sleep is the cold path, so the two extra clock reads
     // that meter parked time (the idle-fraction gauge) cost nothing that
     // matters.
-    if (tele_ == nullptr) {
-      if (!ready_ec_.commit_wait(e, st)) return nullptr;  // stop requested
-    } else {
-      const auto park_start = std::chrono::steady_clock::now();
-      const bool keep = ready_ec_.commit_wait(e, st);
-      tele_->on_idle_park(
-          vp, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - park_start)
-                  .count());
-      if (!keep) return nullptr;  // stop requested
-    }
+    const auto park_start = std::chrono::steady_clock::now();
+    const bool keep = ready_ec_.commit_wait(e, st);
+    tele_.on_idle_park(vp,
+                       std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - park_start)
+                           .count());
+    if (!keep) return nullptr;  // stop requested
   }
 }
 
@@ -585,7 +575,7 @@ void Scheduler::notify_all() {
 }
 
 void Scheduler::drain() {
-  // Run ready tasks on this thread until the created == executed fixpoint:
+  // Run ready tasks on this thread until the created == finished fixpoint:
   // nothing queued, nothing running. A task still running on a worker VP
   // may fork more work, so we sleep on the join eventcount (bumped by both
   // spawn and finish) rather than spinning, and re-check after each wake.
@@ -595,15 +585,15 @@ void Scheduler::drain() {
       run_task(t, vp);
       continue;
     }
-    const auto s = stats_.snapshot();
-    if (s.tasks_executed >= s.tasks_created) return;
+    const observe::VpCounters t = tele_.totals();
+    if (t.tasks_finished >= t.forks) return;
     const EventCount::Epoch e = join_ec_.prepare_wait();
     if (policy_->approx_size() > 0) {
       join_ec_.cancel_wait();
       continue;
     }
-    const auto s2 = stats_.snapshot();
-    if (s2.tasks_executed >= s2.tasks_created) {
+    const observe::VpCounters t2 = tele_.totals();
+    if (t2.tasks_finished >= t2.forks) {
       join_ec_.cancel_wait();
       return;
     }
@@ -621,15 +611,7 @@ Scheduler::ListSnapshot Scheduler::lists() const {
 }
 
 observe::Snapshot Scheduler::observe_snapshot() const {
-  observe::Snapshot s;
-  if (tele_ != nullptr) {
-    s = tele_->snapshot();
-  } else {
-    // Telemetry off: zero counters, but keep the shape so exposition and
-    // the serve stats endpoint still render.
-    s.num_vps = opts_.num_vps;
-    s.per_vp.resize(static_cast<std::size_t>(opts_.num_vps) + 1);
-  }
+  observe::Snapshot s = tele_.snapshot();
   const auto by_class = policy_->approx_size_by_class();
   for (std::size_t cls = 0; cls < by_class.size(); ++cls)
     s.ready_by_class[cls] = by_class[cls];
@@ -641,12 +623,36 @@ void Scheduler::flush_profile() {
 }
 
 RuntimeStats::Snapshot Scheduler::stats_snapshot() const {
-  if (const auto* ws = dynamic_cast<const WorkStealingPolicy*>(policy_.get()))
-    stats_.record_steals(ws->steals(), ws->steal_attempts());
-  stats_.record_wakeups(ready_ec_.wakeups() + join_ec_.wakeups(),
-                        ready_ec_.wakeups_skipped() +
-                            join_ec_.wakeups_skipped());
-  return stats_.snapshot();
+  const observe::VpCounters t = tele_.totals();
+  RuntimeStats::Snapshot out;
+  out.tasks_created = t.forks;
+  out.tasks_executed = t.tasks_finished;
+  out.joins_total = t.joins;
+  out.joins_immediate = t.joins_immediate;
+  out.joins_inlined = t.joins_inlined;
+  out.joins_helped = t.joins_helped;
+  out.joins_slept = t.joins_slept;
+  out.continuations = t.continuations;
+  out.steals = t.steal_successes;
+  out.steal_attempts = t.steal_attempts;
+  out.tasks_run_by_main = t.tasks_run_by_main;
+  out.ready_peak = ready_peak_.load(std::memory_order_relaxed);
+  out.wakeups = ready_ec_.wakeups() + join_ec_.wakeups();
+  out.wakeups_skipped = ready_ec_.wakeups_skipped() + join_ec_.wakeups_skipped();
+  return out;
+}
+
+std::string RuntimeStats::Snapshot::to_string() const {
+  std::ostringstream out;
+  out << "tasks created=" << tasks_created << " executed=" << tasks_executed
+      << " | joins total=" << joins_total << " immediate=" << joins_immediate
+      << " inlined=" << joins_inlined << " helped=" << joins_helped
+      << " slept=" << joins_slept << " | continuations=" << continuations
+      << " | steals=" << steals << "/" << steal_attempts
+      << " | run-by-main=" << tasks_run_by_main
+      << " | ready-peak=" << ready_peak
+      << " | wakeups=" << wakeups << " (+" << wakeups_skipped << " skipped)";
+  return out.str();
 }
 
 }  // namespace anahy

@@ -65,10 +65,6 @@ class Scheduler {
     /// Run the determinacy-race detector (anahy::check). Zero cost when
     /// off: the fork/join hot path only tests one pointer.
     bool check = false;
-    /// Per-VP telemetry counters (anahy::observe). On by default: a feed is
-    /// one relaxed load+store on a VP-private cache line. Turning it off is
-    /// the kill switch the overhead benchmark measures against.
-    bool telemetry = true;
     /// Span profiling: record every task's execution interval + VP into
     /// per-VP buffers for Chrome-trace export (tools/anahy-profile) and
     /// work/span analysis. Implies `trace`.
@@ -178,23 +174,18 @@ class Scheduler {
 
   [[nodiscard]] ListSnapshot lists() const;
 
-  /// Counter snapshot, including steal counters from the active policy.
+  /// Kernel totals: the counter bank's totals plus the ready-list
+  /// high-water mark and the eventcount wakeups.
   [[nodiscard]] RuntimeStats::Snapshot stats_snapshot() const;
 
   /// Per-VP telemetry snapshot with the ready-task gauge per priority
   /// class filled in from the active policy. Wait-free with respect to the
-  /// worker VPs. When Options::telemetry is off the counters are all zero
-  /// but the shape (num_vps, ready_by_class) is still filled.
+  /// worker VPs.
   [[nodiscard]] observe::Snapshot observe_snapshot() const;
-
-  /// The telemetry counter bank (null when Options::telemetry is off).
-  [[nodiscard]] observe::Telemetry* telemetry() const { return tele_.get(); }
 
   /// Drains buffered profiler spans into the trace graph (no-op unless
   /// Options::profile). Idempotent; called before saving the trace.
   void flush_profile();
-
-  [[nodiscard]] RuntimeStats& stats() { return stats_; }
 
   /// Binds the calling thread to VP slot `vp` of this scheduler: its forks
   /// then push to its own deque (Chase-Lev single-owner discipline).
@@ -261,9 +252,19 @@ class Scheduler {
   /// Removes a retired (kJoined) task from the registry.
   void retire(Task* task);
 
-  /// Consumes one join on `task` after the caller observed kFinished.
-  /// Returns kOk, or kNotFound when the budget raced away.
-  int try_consume(const TaskPtr& task, void** result);
+  /// Consumes one join on `task` after the caller observed kFinished and
+  /// counts it in `kind`. Returns kOk, or kNotFound when the budget raced
+  /// away.
+  int try_consume(const TaskPtr& task, void** result, observe::JoinKind kind);
+
+  /// Raises the ready-list high-water mark to `len` if it is higher.
+  void record_ready_len(std::uint64_t len) {
+    std::uint64_t peak = ready_peak_.load(std::memory_order_relaxed);
+    while (len > peak &&
+           !ready_peak_.compare_exchange_weak(peak, len,
+                                              std::memory_order_relaxed)) {
+    }
+  }
 
   /// join() body; the public wrapper adds the ANAHY-W002 anomaly record
   /// when a join fails because the budget was already exhausted.
@@ -294,11 +295,10 @@ class Scheduler {
   const std::uint64_t instance_id_;
 
   Options opts_;
+  observe::Telemetry tele_;  // the kernel's counter bank; policy_ feeds it
   std::unique_ptr<SchedulingPolicy> policy_;
-  mutable RuntimeStats stats_;
   TraceGraph trace_;
   std::unique_ptr<check::Detector> detector_;
-  std::unique_ptr<observe::Telemetry> tele_;       // null = telemetry off
   std::unique_ptr<observe::SpanProfiler> profiler_;  // null = profiling off
 
   std::array<Shard, kRegistryShards> shards_;
@@ -308,6 +308,7 @@ class Scheduler {
   std::atomic<std::size_t> finished_count_{0};
   std::atomic<std::size_t> blocked_frames_{0};
   std::atomic<std::size_t> unblocked_frames_{0};
+  std::atomic<std::uint64_t> ready_peak_{0};
 };
 
 }  // namespace anahy

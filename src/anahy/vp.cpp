@@ -15,10 +15,8 @@ VirtualProcessor::~VirtualProcessor() {
 
 void VirtualProcessor::loop(const std::stop_token& st) {
   scheduler_.bind_thread_to_vp(index_);
-  while (TaskPtr task = scheduler_.wait_for_task(index_, st)) {
+  while (TaskPtr task = scheduler_.wait_for_task(index_, st))
     scheduler_.run_task(task, index_);
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace anahy

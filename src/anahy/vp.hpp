@@ -6,7 +6,6 @@
 // idle, is reactivated as soon as some activity becomes ready.
 #pragma once
 
-#include <cstdint>
 #include <thread>
 
 #include "anahy/scheduler.hpp"
@@ -27,11 +26,6 @@ class VirtualProcessor {
 
   [[nodiscard]] int index() const { return index_; }
 
-  /// Number of tasks this VP has executed from its main loop.
-  [[nodiscard]] std::uint64_t tasks_executed() const {
-    return tasks_executed_.load(std::memory_order_relaxed);
-  }
-
   /// Asks the VP to exit its loop (idempotent; destructor also calls it).
   void request_stop() { thread_.request_stop(); }
 
@@ -40,7 +34,6 @@ class VirtualProcessor {
 
   Scheduler& scheduler_;
   const int index_;
-  std::atomic<std::uint64_t> tasks_executed_{0};
   std::jthread thread_;  // last member: starts after everything is ready
 };
 

@@ -27,8 +27,10 @@ MeshNode::MeshNode(Transport& transport, const Registry& registry,
   for (std::uint32_t p : opts_.peers) peers.push_back({p, 1.0});
   if (!peers.empty())
     victim_order_ = rendezvous_rank(splitmix64(opts_.self), peers);
-  // The front-end starts its pump in the constructor; every member the
-  // hooks touch must be live before this line.
+  // The front-end starts its pump in the constructor, so a hook may fire
+  // before frontend_ is assigned: every member the hooks touch must be
+  // live before this line, and the hooks reach the front-end only through
+  // their argument.
   opts_.frontend.mesh = this;
   frontend_ = std::make_unique<ServeFrontEnd>(*server_, transport, registry,
                                               opts_.frontend);
@@ -78,13 +80,13 @@ void MeshNode::send_to(std::uint32_t dst, const Message& m) {
 
 // ------------------------------------------------------------- frames --
 
-void MeshNode::on_mesh_frame(Message msg) {
+void MeshNode::on_mesh_frame(ServeFrontEnd& frontend, Message msg) {
   switch (msg.type) {
     case MsgType::kJobSteal:
       handle_steal(msg.job_steal);
       break;
     case MsgType::kJobMigrate:
-      handle_migrate(std::move(msg.job_migrate));
+      handle_migrate(frontend, std::move(msg.job_migrate));
       break;
     case MsgType::kMeshGossip:
       handle_gossip(std::move(msg.gossip));
@@ -168,13 +170,13 @@ void MeshNode::handle_steal(const JobStealMsg& msg) {
   send_to(msg.thief, m);
 }
 
-void MeshNode::handle_migrate(JobMigrateMsg msg) {
+void MeshNode::handle_migrate(ServeFrontEnd& frontend, JobMigrateMsg msg) {
   for (JobSubmitMsg& job : msg.jobs) {
     jobs_imported_.fetch_add(1, std::memory_order_relaxed);
     // Same dedup, fence and reply path as a fresh wire submit — the
     // original (client, request_id) rides along, so the submitting
     // router sees exactly one reply no matter where the job ran.
-    frontend_->inject_submit(std::move(job));
+    frontend.inject_submit(std::move(job));
   }
 }
 
@@ -217,9 +219,10 @@ MeshHooks::SubmitIntercept MeshNode::intercept_submit(
   return SubmitIntercept::kProceed;
 }
 
-bool MeshNode::allow_start(std::uint32_t client, std::uint64_t request_id) {
+bool MeshNode::allow_start(const ServeFrontEnd& frontend,
+                           std::uint32_t client, std::uint64_t request_id) {
   if (opts_.fence_us > 0) {
-    const std::int64_t age = frontend_->last_seen_age_us(client);
+    const std::int64_t age = frontend.last_seen_age_us(client);
     // age < 0 = never heard from the client here — a migrated job whose
     // router has not talked to this node yet. Let it run: the router
     // only re-routes keys it reaped from a node it *stopped* hearing

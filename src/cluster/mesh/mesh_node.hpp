@@ -158,12 +158,13 @@ class MeshNode final : public MeshHooks {
   [[nodiscard]] MeshNodeCounters counters() const;
 
   // MeshHooks ------------------------------------------------------------
-  void on_mesh_frame(Message msg) override;
+  void on_mesh_frame(ServeFrontEnd& frontend, Message msg) override;
   void on_tick() override;
   SubmitIntercept intercept_submit(std::uint32_t client,
                                    std::uint64_t request_id,
                                    std::vector<std::uint8_t>& replay) override;
-  bool allow_start(std::uint32_t client, std::uint64_t request_id) override;
+  bool allow_start(const ServeFrontEnd& frontend, std::uint32_t client,
+                   std::uint64_t request_id) override;
   void on_done(std::uint32_t client, std::uint64_t request_id,
                const std::vector<std::uint8_t>& frame) override;
   void on_export(JobSubmitMsg job) override;
@@ -173,7 +174,8 @@ class MeshNode final : public MeshHooks {
   using Key = std::pair<std::uint32_t, std::uint64_t>;
 
   void handle_steal(const JobStealMsg& msg);      // pump thread
-  void handle_migrate(JobMigrateMsg msg);         // pump thread
+  void handle_migrate(ServeFrontEnd& frontend,
+                      JobMigrateMsg msg);         // pump thread
   void handle_gossip(MeshGossipMsg msg);          // pump thread
   void flush_gossip(std::vector<MeshGossipEntry>& staged);
   void send_to(std::uint32_t dst, const Message& m);

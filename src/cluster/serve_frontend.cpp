@@ -171,7 +171,7 @@ void ServeFrontEnd::pump() {
           case MsgType::kJobMigrate:
           case MsgType::kMeshGossip:
             if (opts_.mesh != nullptr)
-              opts_.mesh->on_mesh_frame(std::move(d.msg));
+              opts_.mesh->on_mesh_frame(*this, std::move(d.msg));
             break;
           default:
             break;  // not serve traffic; drop
@@ -278,7 +278,7 @@ void ServeFrontEnd::handle_rejuvenate(const RejuvenateMsg& msg) {
   link_->send_locked(static_cast<int>(msg.client), frame);
 }
 
-void ServeFrontEnd::handle_submit(JobSubmitMsg msg) {
+void ServeFrontEnd::handle_submit(JobSubmitMsg msg, bool exportable) {
   submissions_.fetch_add(1, std::memory_order_relaxed);
   const std::uint32_t client = msg.client;
   const std::uint64_t request_id = msg.request_id;
@@ -358,13 +358,15 @@ void ServeFrontEnd::handle_submit(JobSubmitMsg msg) {
   // Wire submits are the only jobs a mesh node may export to a peer: they
   // carry enough bytes (function name + payload) to rebuild the JobSpec
   // remotely, which locally-submitted closures do not.
-  spec.exportable = true;
+  spec.exportable = exportable;
   MeshHooks* hooks = opts_.mesh;
-  spec.body = [rj, hooks, client, request_id](void*) -> void* {
+  // `self` is dereferenced only with hooks installed, and their owner
+  // (mesh::MeshNode) drains the server before destroying this front-end.
+  spec.body = [rj, hooks, self = this, client, request_id](void*) -> void* {
     // Start fence (docs/MESH.md): once the router has been silent past the
     // fence window it may have reassigned this key — running the body now
     // could execute it twice in the cluster. Withdraw instead.
-    if (hooks != nullptr && !hooks->allow_start(client, request_id)) {
+    if (hooks != nullptr && !hooks->allow_start(*self, client, request_id)) {
       rj->withdrawn = true;
       return nullptr;
     }

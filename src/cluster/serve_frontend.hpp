@@ -53,6 +53,8 @@
 
 namespace cluster {
 
+class ServeFrontEnd;
+
 /// Mesh extension points of a ServeFrontEnd (docs/MESH.md). A front-end
 /// with hooks installed becomes one node of an anahy::mesh deployment:
 /// mesh frames are forwarded here, remote job bodies pass the start fence,
@@ -67,12 +69,17 @@ namespace cluster {
 /// lock; on_export runs synchronously inside JobServer::export_queued on
 /// whatever thread called it. extra_counters runs on the pump thread with
 /// no front-end lock held.
+///
+/// The hooks that need the front-end get it as an argument: its pump may
+/// fire them before the ServeFrontEnd constructor has returned, so an
+/// implementation must not read a front-end pointer of its own there.
 class MeshHooks {
  public:
   virtual ~MeshHooks() = default;
 
-  /// A mesh frame (kJobSteal / kJobMigrate / kMeshGossip) arrived.
-  virtual void on_mesh_frame(Message msg) = 0;
+  /// A mesh frame (kJobSteal / kJobMigrate / kMeshGossip) arrived at
+  /// `frontend`.
+  virtual void on_mesh_frame(ServeFrontEnd& frontend, Message msg) = 0;
 
   /// Heartbeat-cadence tick (requires heartbeat_interval > 0): gossip
   /// batches go out, idle nodes probe victims, backoffs advance.
@@ -93,7 +100,8 @@ class MeshHooks {
   /// false *withdraws* the job — the body is never executed and the reply
   /// carries kJobDoneWithdrawn, certifying the router may re-route the key
   /// with no double-execution risk.
-  virtual bool allow_start(std::uint32_t client, std::uint64_t request_id) = 0;
+  virtual bool allow_start(const ServeFrontEnd& frontend,
+                           std::uint32_t client, std::uint64_t request_id) = 0;
 
   /// A remote job resolved for real (never called for withdrawn jobs) and
   /// `frame` — the encoded kJobDone — just entered the dedup window.
@@ -228,10 +236,14 @@ class ServeFrontEnd {
       const;
 
   /// Injects a migrated job as if its kJobSubmit frame had just arrived
-  /// (same dedup, same reply path — the original client answers it).
+  /// (same dedup, same reply path — the original client answers it), but
+  /// never exportable again: a job migrates at most once, so it cannot
+  /// bounce back to a victim whose migrated set would suppress it.
   /// Front-end pump thread only (mesh::MeshNode calls it while handling a
   /// kJobMigrate grant, which runs on that thread).
-  void inject_submit(JobSubmitMsg msg) { handle_submit(std::move(msg)); }
+  void inject_submit(JobSubmitMsg msg) {
+    handle_submit(std::move(msg), /*exportable=*/false);
+  }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -267,7 +279,7 @@ class ServeFrontEnd {
   /// Uses `transport_` directly (no Link lock): the pump thread is joined
   /// before stop() detaches the transport, so it can never race teardown.
   bool transport_recv(std::vector<std::uint8_t>& frame);
-  void handle_submit(JobSubmitMsg msg);
+  void handle_submit(JobSubmitMsg msg, bool exportable = true);
   void handle_stats_query(const StatsQueryMsg& msg);
   void handle_rejuvenate(const RejuvenateMsg& msg);
   void heartbeat(Clock::time_point now);

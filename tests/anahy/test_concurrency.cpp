@@ -95,7 +95,8 @@ TEST(WorkStealingClaim, ConcurrentPopsAndRemovesClaimEachTaskOnce) {
   constexpr int kTasks = 4000;
   constexpr int kPoppers = 2;
 
-  WorkStealingPolicy policy(kPoppers);
+  observe::Telemetry tele(kPoppers);
+  WorkStealingPolicy policy(kPoppers, tele);
   std::vector<TaskPtr> tasks;
   tasks.reserve(kTasks);
   for (int i = 0; i < kTasks; ++i) {
@@ -140,7 +141,8 @@ TEST(WorkStealingClaim, ConcurrentPopsAndRemovesClaimEachTaskOnce) {
 /// remove_specific claims in O(1) and leaves the deque entry behind; the
 /// owner's next pop must recognize the stale entry and skip past it.
 TEST(WorkStealingClaim, PopDiscardsStaleEntryLeftByRemoveSpecific) {
-  WorkStealingPolicy policy(1);
+  observe::Telemetry tele(1);
+  WorkStealingPolicy policy(1, tele);
   auto a = make_task(1);
   auto b = make_task(2);
   policy.push(a, 0);

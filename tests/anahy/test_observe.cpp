@@ -37,8 +37,8 @@ TEST(Telemetry, CountersLandOnTheirSlot) {
   Telemetry t(2);
   t.on_fork(0);
   t.on_fork(0);
-  t.on_join(1);
-  t.on_task_run(1);
+  t.on_join(1, observe::JoinKind::kHelped);
+  t.on_task_run(1, /*by_main=*/true);
   t.on_steal_attempt(0);
   t.on_steal_success(0);
   t.on_idle_spin(1);
@@ -50,7 +50,9 @@ TEST(Telemetry, CountersLandOnTheirSlot) {
   EXPECT_EQ(s.per_vp[0].forks, 2u);
   EXPECT_EQ(s.per_vp[1].forks, 0u);
   EXPECT_EQ(s.per_vp[1].joins, 1u);
+  EXPECT_EQ(s.per_vp[1].joins_helped, 1u);
   EXPECT_EQ(s.per_vp[1].tasks_run, 1u);
+  EXPECT_EQ(s.per_vp[1].tasks_run_by_main, 1u);
   EXPECT_EQ(s.per_vp[0].steal_attempts, 1u);
   EXPECT_EQ(s.per_vp[0].steal_successes, 1u);
   EXPECT_EQ(s.per_vp[1].idle_spins, 1u);
@@ -216,20 +218,21 @@ TEST(Telemetry, SnapshotConcurrentWithStealingWorkload) {
   EXPECT_EQ(sum.steal_attempts, s.total.steal_attempts);
 }
 
-TEST(Telemetry, DisabledTelemetryStillYieldsAWellFormedSnapshot) {
+TEST(Telemetry, FreshRuntimeYieldsAWellFormedZeroSnapshot) {
   Options o;
   o.num_vps = 2;
-  o.telemetry = false;
   Runtime rt(o);
-  spawn(rt, [] { return 1; }).join();
   const Snapshot s = rt.observe_snapshot();
   EXPECT_EQ(s.num_vps, 2);
   ASSERT_EQ(s.per_vp.size(), 3u);
-  EXPECT_EQ(s.total.forks, 0u);  // nothing recorded
-  // The exposition must still render (operators can scrape a disabled
-  // runtime and see zeros, not a crash).
+  EXPECT_EQ(s.total.forks, 0u);  // nothing forked yet
+  EXPECT_EQ(s.total.joins, 0u);
+  EXPECT_EQ(s.total.tasks_run, 0u);
+  // The exposition must render a runtime that has done nothing yet
+  // (operators scrape it at startup and see zeros, not a crash).
   const std::string text = observe::render_text(s);
   EXPECT_NE(text.find("anahy_observe_num_vps 2"), std::string::npos);
+  EXPECT_NE(text.find("anahy_observe_forks{vp=\"0\"} 0"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

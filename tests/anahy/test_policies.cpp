@@ -1,4 +1,5 @@
 // Unit tests of the ready-list policies, exercised directly (no runtime).
+#include "anahy/observe/telemetry.hpp"
 #include "anahy/policy.hpp"
 #include "anahy/policy_steal.hpp"
 
@@ -14,10 +15,13 @@ TaskPtr make_task(TaskId id) {
       kRootTaskId, 1);
 }
 
-class PolicyTest : public ::testing::TestWithParam<PolicyKind> {};
+class PolicyTest : public ::testing::TestWithParam<PolicyKind> {
+ protected:
+  observe::Telemetry tele_{4};  // as many slots as any case uses
+};
 
 TEST_P(PolicyTest, PushPopSingle) {
-  auto policy = make_policy(GetParam(), 2);
+  auto policy = make_policy(GetParam(), 2, tele_);
   auto t = make_task(1);
   policy->push(t, 0);
   EXPECT_EQ(policy->approx_size(), 1u);
@@ -27,7 +31,7 @@ TEST_P(PolicyTest, PushPopSingle) {
 }
 
 TEST_P(PolicyTest, PopFromOtherVpFindsWork) {
-  auto policy = make_policy(GetParam(), 4);
+  auto policy = make_policy(GetParam(), 4, tele_);
   auto t = make_task(1);
   policy->push(t, 0);
   // A different VP must still be able to acquire the task (stealing or a
@@ -36,14 +40,14 @@ TEST_P(PolicyTest, PopFromOtherVpFindsWork) {
 }
 
 TEST_P(PolicyTest, ExternalCallersAreAccepted) {
-  auto policy = make_policy(GetParam(), 2);
+  auto policy = make_policy(GetParam(), 2, tele_);
   auto t = make_task(7);
   policy->push(t, SchedulingPolicy::kExternalVp);
   EXPECT_EQ(policy->pop(SchedulingPolicy::kExternalVp), t);
 }
 
 TEST_P(PolicyTest, RemoveSpecificTakesExactTask) {
-  auto policy = make_policy(GetParam(), 2);
+  auto policy = make_policy(GetParam(), 2, tele_);
   auto a = make_task(1);
   auto b = make_task(2);
   auto c = make_task(3);
@@ -61,7 +65,7 @@ TEST_P(PolicyTest, RemoveSpecificTakesExactTask) {
 }
 
 TEST_P(PolicyTest, DrainsManyTasks) {
-  auto policy = make_policy(GetParam(), 3);
+  auto policy = make_policy(GetParam(), 3, tele_);
   constexpr int kN = 1000;
   for (int i = 0; i < kN; ++i) policy->push(make_task(TaskId(i)), i % 3);
   int drained = 0;
@@ -78,7 +82,8 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyTest,
                          });
 
 TEST(FifoPolicy, IsFirstInFirstOut) {
-  auto policy = make_policy(PolicyKind::kFifo, 1);
+  observe::Telemetry tele(1);
+  auto policy = make_policy(PolicyKind::kFifo, 1, tele);
   auto a = make_task(1);
   auto b = make_task(2);
   policy->push(a, 0);
@@ -88,7 +93,8 @@ TEST(FifoPolicy, IsFirstInFirstOut) {
 }
 
 TEST(LifoPolicy, IsLastInFirstOut) {
-  auto policy = make_policy(PolicyKind::kLifo, 1);
+  observe::Telemetry tele(1);
+  auto policy = make_policy(PolicyKind::kLifo, 1, tele);
   auto a = make_task(1);
   auto b = make_task(2);
   policy->push(a, 0);
@@ -98,7 +104,8 @@ TEST(LifoPolicy, IsLastInFirstOut) {
 }
 
 TEST(WorkStealingPolicy, OwnerPopsLifoThiefStealsFifo) {
-  WorkStealingPolicy policy(2);
+  observe::Telemetry tele(2);
+  WorkStealingPolicy policy(2, tele);
   auto a = make_task(1);
   auto b = make_task(2);
   auto c = make_task(3);
@@ -109,19 +116,26 @@ TEST(WorkStealingPolicy, OwnerPopsLifoThiefStealsFifo) {
   EXPECT_EQ(policy.pop(0), c);
   // Thief (VP 1): oldest first.
   EXPECT_EQ(policy.pop(1), a);
-  EXPECT_GE(policy.steals(), 1u);
-  EXPECT_GE(policy.steal_attempts(), policy.steals());
+  // The steal is the thief's: VP 1's slot carries it, the owner's none.
+  const observe::Snapshot s = tele.snapshot();
+  EXPECT_EQ(s.per_vp[1].steal_successes, 1u);
+  EXPECT_GE(s.per_vp[1].steal_attempts, s.per_vp[1].steal_successes);
+  EXPECT_EQ(s.per_vp[0].steal_attempts, 0u);
 }
 
 TEST(WorkStealingPolicy, StealCountersOnlyCountCrossDequeTakes) {
-  WorkStealingPolicy policy(2);
+  observe::Telemetry tele(2);
+  WorkStealingPolicy policy(2, tele);
   policy.push(make_task(1), 0);
   EXPECT_NE(policy.pop(0), nullptr);  // owner pop: not a steal
-  EXPECT_EQ(policy.steals(), 0u);
+  const observe::VpCounters total = tele.snapshot().total;
+  EXPECT_EQ(total.steal_successes, 0u);
+  EXPECT_EQ(total.steal_attempts, 0u);
 }
 
 TEST(WorkStealingPolicy, RejectsZeroVps) {
-  EXPECT_THROW(WorkStealingPolicy(0), std::invalid_argument);
+  observe::Telemetry tele(1);
+  EXPECT_THROW(WorkStealingPolicy(0, tele), std::invalid_argument);
 }
 
 TaskPtr make_task_with_priority(TaskId id, Priority p) {
@@ -133,7 +147,8 @@ TaskPtr make_task_with_priority(TaskId id, Priority p) {
 }
 
 TEST(WorkStealingPolicy, OwnerPopServicesClassesInPriorityOrder) {
-  WorkStealingPolicy policy(1);
+  observe::Telemetry tele(1);
+  WorkStealingPolicy policy(1, tele);
   auto batch = make_task_with_priority(1, Priority::kBatch);
   auto high = make_task_with_priority(2, Priority::kHigh);
   auto normal = make_task_with_priority(3, Priority::kNormal);
@@ -147,7 +162,8 @@ TEST(WorkStealingPolicy, OwnerPopServicesClassesInPriorityOrder) {
 }
 
 TEST(WorkStealingPolicy, ThiefSweepsHighClassAcrossVictimsFirst) {
-  WorkStealingPolicy policy(3);
+  observe::Telemetry tele(3);
+  WorkStealingPolicy policy(3, tele);
   auto batch0 = make_task_with_priority(1, Priority::kBatch);
   auto high1 = make_task_with_priority(2, Priority::kHigh);
   policy.push(batch0, 0);  // victim 0 has only batch work
@@ -159,7 +175,8 @@ TEST(WorkStealingPolicy, ThiefSweepsHighClassAcrossVictimsFirst) {
 }
 
 TEST(WorkStealingPolicy, ExternalQueueHonorsClasses) {
-  WorkStealingPolicy policy(1);
+  observe::Telemetry tele(1);
+  WorkStealingPolicy policy(1, tele);
   auto batch = make_task_with_priority(1, Priority::kBatch);
   auto high = make_task_with_priority(2, Priority::kHigh);
   policy.push(batch, SchedulingPolicy::kExternalVp);
@@ -169,7 +186,8 @@ TEST(WorkStealingPolicy, ExternalQueueHonorsClasses) {
 }
 
 TEST(WorkStealingPolicy, SameClassKeepsLifoOwnerFifoThief) {
-  WorkStealingPolicy policy(2);
+  observe::Telemetry tele(2);
+  WorkStealingPolicy policy(2, tele);
   auto a = make_task_with_priority(1, Priority::kHigh);
   auto b = make_task_with_priority(2, Priority::kHigh);
   policy.push(a, 0);

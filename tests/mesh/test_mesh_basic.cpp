@@ -252,4 +252,44 @@ TEST(MeshBasic, RouterHealthSnapshotTracksNodes) {
   EXPECT_EQ(router.live_nodes().size(), static_cast<std::size_t>(kNodes));
 }
 
+// The front-end's pump starts inside MeshNode's constructor, so it can
+// handle a frame before the constructor has stored the front-end. A
+// migrate grant queued before the node exists is the first thing the pump
+// handles: the import submits the job and its body passes the start
+// fence, so both hooks must reach the front-end through their argument.
+TEST(MeshBasic, MigrateQueuedBeforeConstructionIsServed) {
+  constexpr int kNode = 0;
+  constexpr int kPeer = 1;
+  constexpr int kClient = 2;
+  auto fabric = make_memory_fabric(3);
+  JobSubmitMsg job;
+  job.client = kClient;
+  job.request_id = 7;
+  job.function = "echo";
+  job.payload = {1, 2, 3};
+  fabric[kPeer]->send(kNode, encode(make_job_migrate(kPeer, 1, {job})));
+
+  Registry registry;
+  registry.add("echo", [](std::span<const std::uint8_t> in) {
+    return std::vector<std::uint8_t>(in.begin(), in.end());
+  });
+  MeshNodeOptions o;
+  o.self = kNode;
+  o.peers = {kPeer};
+  o.server.runtime.num_vps = 1;
+  MeshNode node(*fabric[kNode], registry, o);
+
+  // The imported job runs and answers its original client (pings aside).
+  Message done;
+  std::vector<std::uint8_t> frame;
+  while (done.type != MsgType::kJobDone &&
+         fabric[kClient]->recv(frame, 5'000'000us))
+    done = decode(frame);
+  ASSERT_EQ(done.type, MsgType::kJobDone);
+  EXPECT_EQ(done.job_done.request_id, 7u);
+  EXPECT_EQ(done.job_done.error, static_cast<std::uint32_t>(anahy::kOk));
+  EXPECT_EQ(done.job_done.payload, job.payload);
+  EXPECT_EQ(node.counters().jobs_imported, 1u);
+}
+
 }  // namespace

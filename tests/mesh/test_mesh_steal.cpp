@@ -6,12 +6,15 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "cluster/mesh/mesh_node.hpp"
 #include "cluster/mesh/router.hpp"
+#include "cluster/message.hpp"
 
 namespace {
 
@@ -129,6 +132,74 @@ TEST(MeshSteal, StealCountersShowOnTheExpositionPage) {
             std::string::npos);
   EXPECT_NE(text.find("anahy_mesh_jobs_exported_total"), std::string::npos);
   EXPECT_NE(text.find("anahy_mesh_jobs_imported_total"), std::string::npos);
+}
+
+// An imported job is never exported again. Bounced back to its first
+// victim, it would meet its own key in that victim's migrated set and be
+// suppressed until its caller timed out (under TSan timing one job in 16
+// of StealCountersShowOnTheExpositionPage did, as kUnreachable).
+TEST(MeshSteal, ImportedJobIsNeverExportedAgain) {
+  constexpr int kNode = 0;
+  constexpr int kPeer = 1;
+  constexpr int kClient = 2;
+  auto fabric = make_memory_fabric(3);
+  std::atomic<bool> release{false};
+  std::atomic<int> echoes{0};
+  Registry registry;
+  registry.add("block", [&release](std::span<const std::uint8_t> in) {
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+    return std::vector<std::uint8_t>(in.begin(), in.end());
+  });
+  registry.add("echo", [&echoes](std::span<const std::uint8_t> in) {
+    echoes.fetch_add(1);
+    return std::vector<std::uint8_t>(in.begin(), in.end());
+  });
+  MeshNodeOptions o;
+  o.self = kNode;
+  o.peers = {kPeer};
+  o.server.runtime.num_vps = 1;
+  o.server.max_active = 1;  // the blocker holds the only slot
+  o.steal_min_backlog = 0;  // a probe may take the whole backlog
+  o.fence_us = 0;           // the submitters never ping
+  MeshNode node(*fabric[kNode], registry, o);
+  // Next frame of `type` at `at`, within 5 s.
+  const auto next = [](Transport& at, MsgType type) -> std::optional<Message> {
+    std::vector<std::uint8_t> frame;
+    for (const auto until = std::chrono::steady_clock::now() + 5s;
+         std::chrono::steady_clock::now() < until;) {
+      if (!at.recv(frame, 10'000us)) continue;
+      DecodeResult d = decode_frame(frame);
+      if (d.ok && d.msg.type == type) return std::move(d.msg);
+    }
+    return std::nullopt;
+  };
+
+  // The peer occupies the node, then hands it an echo job that queues.
+  fabric[kPeer]->send(
+      kNode, encode(make_job_submit(kPeer, 1, 1, -1, false, "block", {})));
+  JobSubmitMsg job;
+  job.client = kClient;
+  job.request_id = 2;
+  job.function = "echo";
+  job.payload = {42};
+  fabric[kPeer]->send(kNode, encode(make_job_migrate(kPeer, 7, {job})));
+  for (int i = 0; i < 5000; ++i) {  // until it runs one and queues one
+    const anahy::serve::ServerStats st = node.server().stats();
+    if (st.active == 1 && st.pending == 1) break;
+    std::this_thread::sleep_for(1ms);
+  }
+
+  // A probe finds nothing to take: the imported job stays where it landed.
+  fabric[kPeer]->send(kNode, encode(make_job_steal(kPeer, 8, 1, 4)));
+  const auto grant = next(*fabric[kPeer], MsgType::kJobMigrate);
+  ASSERT_TRUE(grant.has_value());
+  EXPECT_TRUE(grant->job_migrate.jobs.empty());
+
+  release = true;
+  const auto done = next(*fabric[kClient], MsgType::kJobDone);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->job_done.payload, job.payload);
+  EXPECT_EQ(echoes.load(), 1);
 }
 
 }  // namespace

@@ -75,6 +75,10 @@ struct BadLine {
   const char* text;
 };
 
+// Without a printer gtest dumps the struct's bytes, the two string
+// addresses, and the ctest names would change with every build.
+void PrintTo(const BadLine& c, std::ostream* os) { *os << c.name; }
+
 class SceneFileErrors : public ::testing::TestWithParam<BadLine> {};
 
 TEST_P(SceneFileErrors, MalformedInputThrowsWithLineNumber) {
