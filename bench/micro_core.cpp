@@ -63,17 +63,61 @@ void BM_FanOut(benchmark::State& state) {
 }
 BENCHMARK(BM_FanOut)->Arg(16)->Arg(256)->Arg(4096);
 
+/// Fresh, unclaimed tasks for the ready-list legs. A task is consumed by
+/// its first claim, so reusing one would time a stale-entry drop and an
+/// empty sweep instead of a push and a pop. Batches are built outside the
+/// timed region.
+class FreshTasks {
+ public:
+  explicit FreshTasks(benchmark::State& state) : state_(state) {}
+
+  const anahy::TaskPtr& next() {
+    if (next_ == batch_.size()) refill();
+    return batch_[next_++];
+  }
+
+ private:
+  void refill() {
+    state_.PauseTiming();
+    batch_.clear();
+    for (std::size_t i = 0; i < kBatch; ++i)
+      batch_.push_back(std::make_shared<anahy::Task>(
+          i + 1, [](void*) -> void* { return nullptr; }, nullptr,
+          anahy::TaskAttributes{}, 0, 1));
+    next_ = 0;
+    state_.ResumeTiming();
+  }
+
+  static constexpr std::size_t kBatch = 4096;
+  benchmark::State& state_;
+  std::vector<anahy::TaskPtr> batch_;
+  std::size_t next_ = 0;
+};
+
+/// Pushes a fresh task on VP 0 and takes it back from `taker`'s side each
+/// iteration; every iteration must claim its task.
+void push_then_take(benchmark::State& state, anahy::SchedulingPolicy& policy,
+                    int taker) {
+  FreshTasks tasks(state);
+  std::int64_t claimed = 0;
+  for (auto _ : state) {
+    policy.push(tasks.next(), 0);
+    anahy::TaskPtr got = policy.pop(taker);
+    if (got == nullptr) {
+      state.SkipWithError("the pushed task was not taken back");
+      break;
+    }
+    benchmark::DoNotOptimize(got);
+    ++claimed;
+  }
+  state.counters["claimed"] = static_cast<double>(claimed);
+}
+
 void BM_PolicyPushPop(benchmark::State& state) {
   const auto kind = static_cast<anahy::PolicyKind>(state.range(0));
   anahy::observe::Telemetry tele(4);
   auto policy = anahy::make_policy(kind, 4, tele);
-  auto task = std::make_shared<anahy::Task>(
-      1, [](void*) -> void* { return nullptr; }, nullptr,
-      anahy::TaskAttributes{}, 0, 1);
-  for (auto _ : state) {
-    policy->push(task, 0);
-    benchmark::DoNotOptimize(policy->pop(0));
-  }
+  push_then_take(state, *policy, 0);
 }
 BENCHMARK(BM_PolicyPushPop)
     ->Arg(static_cast<int>(anahy::PolicyKind::kFifo))
@@ -83,13 +127,7 @@ BENCHMARK(BM_PolicyPushPop)
 void BM_StealPath(benchmark::State& state) {
   anahy::observe::Telemetry tele(4);
   anahy::WorkStealingPolicy policy(4, tele);
-  auto task = std::make_shared<anahy::Task>(
-      1, [](void*) -> void* { return nullptr; }, nullptr,
-      anahy::TaskAttributes{}, 0, 1);
-  for (auto _ : state) {
-    policy.push(task, 0);
-    benchmark::DoNotOptimize(policy.pop(3));  // always a cross-VP steal
-  }
+  push_then_take(state, policy, 3);  // always a cross-VP steal
 }
 BENCHMARK(BM_StealPath);
 

@@ -610,9 +610,13 @@ Scheduler::ListSnapshot Scheduler::lists() const {
   return s;
 }
 
+std::array<std::size_t, kNumPriorities> Scheduler::ready_by_class() const {
+  return policy_->approx_size_by_class();
+}
+
 observe::Snapshot Scheduler::observe_snapshot() const {
   observe::Snapshot s = tele_.snapshot();
-  const auto by_class = policy_->approx_size_by_class();
+  const auto by_class = ready_by_class();
   for (std::size_t cls = 0; cls < by_class.size(); ++cls)
     s.ready_by_class[cls] = by_class[cls];
   return s;

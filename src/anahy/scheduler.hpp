@@ -178,8 +178,13 @@ class Scheduler {
   /// high-water mark and the eventcount wakeups.
   [[nodiscard]] RuntimeStats::Snapshot stats_snapshot() const;
 
+  /// Approximate ready tasks per priority class, from the active policy
+  /// (monitoring only).
+  [[nodiscard]] std::array<std::size_t, kNumPriorities> ready_by_class()
+      const;
+
   /// Per-VP telemetry snapshot with the ready-task gauge per priority
-  /// class filled in from the active policy. Wait-free with respect to the
+  /// class filled in from ready_by_class(). Wait-free with respect to the
   /// worker VPs.
   [[nodiscard]] observe::Snapshot observe_snapshot() const;
 

@@ -361,14 +361,16 @@ ServerStats JobServer::stats() const {
 
 void JobServer::record_aging_sample() {
   const PoolSnapshot pool = pool_snapshot();
-  const observe::Snapshot obs = rt_->observe_snapshot();
 
   aging::Cumulative cum;
   cum.t_ns = TaskContext::now_ns();
   cum.heap_bytes = pool.live_bytes;
   cum.arena_bytes = pool.arena_bytes;
   cum.rss_bytes = aging::rss_bytes_now();
-  for (const std::uint64_t r : obs.ready_by_class) cum.ready_tasks += r;
+  // Only the ready gauge: a full observe_snapshot() would copy every VP
+  // slot's counters to sum it.
+  for (const std::size_t r : rt_->scheduler().ready_by_class())
+    cum.ready_tasks += r;
   for (std::size_t c = 0; c < pool_detail::kNumClasses; ++c)
     cum.class_outstanding[c] = pool.classes[c].outstanding;
   {

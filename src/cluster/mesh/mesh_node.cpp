@@ -72,10 +72,7 @@ bool MeshNode::is_router(std::uint32_t client) const {
 void MeshNode::send_to(std::uint32_t dst, const Message& m) {
   // A severed TCP peer throws; mesh traffic is all retried or advisory,
   // so a lost frame degrades to "probe again later", never to wrongness.
-  try {
-    transport_.send(static_cast<int>(dst), encode(m));
-  } catch (...) {
-  }
+  send_soft(transport_, static_cast<int>(dst), encode(m));
 }
 
 // ------------------------------------------------------------- frames --

@@ -1,6 +1,6 @@
 #include "cluster/mesh/router.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "anahy/types.hpp"
@@ -10,7 +10,8 @@ namespace cluster::mesh {
 
 MeshRouter::MeshRouter(Transport& transport, MeshRouterOptions opts)
     : transport_(transport), opts_(std::move(opts)),
-      self_(static_cast<std::uint32_t>(transport.node_id())) {
+      self_(static_cast<std::uint32_t>(transport.node_id())),
+      table_(self_) {
   const auto now = Clock::now();
   for (std::uint32_t n : opts_.nodes) {
     NodeState s;
@@ -30,16 +31,10 @@ void MeshRouter::stop() {
   if (stop_.exchange(true)) return;
   if (pump_.joinable()) pump_.join();
   // Resolve every outstanding handle: wait() must never hang on a router
-  // that has been stopped under it.
+  // that has been stopped under it. Later submits and control calls see
+  // stop_ under mu_ and resolve at once.
   std::lock_guard lock(mu_);
-  for (auto& [rid, p] : pending_) {
-    if (p.done) continue;
-    p.done = true;
-    p.reply.error = anahy::kUnreachable;
-    unreachable_.fetch_add(1, std::memory_order_relaxed);
-  }
-  for (auto& [rid, w] : stats_waiters_) w.done = true;
-  cv_.notify_all();
+  for (auto& [rid, r] : table_.take_all()) expire_locked(rid, r);
 }
 
 RouterCounters MeshRouter::counters() const {
@@ -70,12 +65,22 @@ NodeHealth MeshRouter::health(std::uint32_t node_rank) const {
   return it == nodes_.end() ? NodeHealth{} : it->second.health;
 }
 
-void MeshRouter::send_soft(std::uint32_t dst,
-                           const std::vector<std::uint8_t>& frame) {
-  try {
-    transport_.send(static_cast<int>(dst), frame);
-  } catch (...) {
-  }
+void MeshRouter::expire_locked(std::uint64_t rid, const Route& r) {
+  if (r.kind == Route::Kind::kPoll) return;  // nobody waits on a poll
+  if (r.kind == Route::Kind::kJob)
+    unreachable_.fetch_add(1, std::memory_order_relaxed);
+  resolved_[rid].error = anahy::kUnreachable;
+  cv_.notify_all();
+}
+
+MeshRouter::Reply MeshRouter::collect(std::unique_lock<std::mutex>& lock,
+                                      std::uint64_t rid) {
+  cv_.wait(lock, [&] { return !table_.contains(rid); });
+  auto node = resolved_.extract(rid);
+  if (!node.empty()) return std::move(node.mapped());
+  Reply r;
+  r.error = anahy::kInvalid;  // unknown or already waited
+  return r;
 }
 
 // -------------------------------------------------------------- submit --
@@ -95,24 +100,21 @@ std::uint32_t MeshRouter::pick_locked(std::uint64_t key, std::uint8_t cls,
   return live[rendezvous_pick(key, live)].node;
 }
 
-void MeshRouter::route_locked(std::uint64_t rid, Pending& p,
+void MeshRouter::route_locked(std::uint64_t rid, Route& r,
                               Clock::time_point now) {
-  const std::uint32_t node = pick_locked(p.key, p.cls, p.excluded);
+  const std::uint32_t node = pick_locked(r.key, r.cls, r.excluded);
   if (node == kNoNode) {
-    // Every candidate dead or excluded: park. service() re-runs this on
-    // each pass, so the key moves the moment a node heals; the deadline
-    // bounds the parking.
-    p.node = kNoNode;
+    // Every candidate dead or excluded: park. A heal re-runs this, so the
+    // key moves the moment a node is back; the deadline bounds the
+    // parking.
+    r.node = kNoNode;
     return;
   }
-  if (p.node != kNoNode && p.node != node)
+  if (r.node != kNoNode && r.node != node)
     reroutes_.fetch_add(1, std::memory_order_relaxed);
-  p.node = node;
-  p.started = false;
-  p.backoff = opts_.retry_backoff;
-  p.next_retry = now + p.backoff;
-  send_soft(node, p.frame);
-  (void)rid;
+  r.node = node;
+  r.started = false;
+  send_soft(transport_, node, table_.rearm(rid, now));
 }
 
 std::uint64_t MeshRouter::submit(const std::string& function,
@@ -121,64 +123,65 @@ std::uint64_t MeshRouter::submit(const std::string& function,
   const auto now = Clock::now();
   std::lock_guard lock(mu_);
   const std::uint64_t rid = ++next_rid_;
-  Pending p;
-  p.key = o.key != 0 ? o.key : splitmix64(rid);
-  p.cls = o.priority;
-  p.deadline = now + (o.deadline.count() > 0 ? o.deadline
-                                             : opts_.default_deadline);
-  p.frame = encode(make_job_submit(self_, rid, o.priority, o.timeout_ns,
-                                   o.check ? 1 : 0, function,
-                                   std::move(payload)));
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  auto [it, fresh] = pending_.emplace(rid, std::move(p));
-  route_locked(rid, it->second, now);
+  Route r;
+  if (stop_.load()) {
+    expire_locked(rid, r);  // no pump left to route or expire it
+    return rid;
+  }
+  r.key = o.key != 0 ? o.key : splitmix64(rid);
+  r.cls = o.priority;
+  const CallOptions envelope{
+      .deadline = o.deadline.count() > 0 ? o.deadline : opts_.default_deadline,
+      .initial_backoff = opts_.retry_backoff,
+      .max_backoff = opts_.retry_backoff * 8};
+  Route& route = table_.add(
+      rid,
+      encode(make_job_submit(self_, rid, o.priority, o.timeout_ns,
+                             o.check ? 1 : 0, function, std::move(payload))),
+      MsgType::kJobDone, envelope, now, std::move(r));
+  route_locked(rid, route, now);
   return rid;
 }
 
 MeshRouter::Reply MeshRouter::wait(std::uint64_t id) {
   std::unique_lock lock(mu_);
-  auto it = pending_.find(id);
-  if (it == pending_.end()) {
-    Reply r;
-    r.error = anahy::kInvalid;  // unknown or already waited
-    return r;
-  }
-  cv_.wait(lock, [&] { return it->second.done; });
-  Reply r = std::move(it->second.reply);
-  pending_.erase(it);
-  return r;
+  return collect(lock, id);
 }
 
 bool MeshRouter::done(std::uint64_t id) {
   std::lock_guard lock(mu_);
-  auto it = pending_.find(id);
-  return it == pending_.end() || it->second.done;
+  return !table_.contains(id);
 }
 
 // ------------------------------------------------------------- control --
 
+std::uint64_t MeshRouter::query_locked(std::uint32_t node, Route::Kind kind,
+                                       bool rejuvenate,
+                                       std::chrono::microseconds timeout,
+                                       Clock::time_point now) {
+  const std::uint64_t rid = ++next_rid_;
+  std::vector<std::uint8_t> frame =
+      encode(rejuvenate ? make_rejuvenate(self_, rid, kRejuvTargetSelf)
+                        : make_stats_query(self_, rid));
+  send_soft(transport_, node, frame);
+  // One attempt whose slice is the whole timeout: never retransmitted.
+  const CallOptions once{.deadline = timeout,
+                         .initial_backoff = timeout,
+                         .max_backoff = timeout,
+                         .max_attempts = 1};
+  table_.add(rid, std::move(frame), MsgType::kStatsReply, once, now,
+             Route{.kind = kind, .node = node});
+  return rid;
+}
+
 std::string MeshRouter::control_call(std::uint32_t node_rank, bool rejuvenate,
                                      std::chrono::microseconds timeout) {
-  std::uint64_t rid = 0;
-  {
-    std::lock_guard lock(mu_);
-    rid = ++next_rid_;
-    StatsWaiter w;
-    w.node = node_rank;
-    w.health_poll = false;
-    w.issued = Clock::now();
-    stats_waiters_.emplace(rid, std::move(w));
-  }
-  const Message m = rejuvenate
-                        ? make_rejuvenate(self_, rid, kRejuvTargetSelf)
-                        : make_stats_query(self_, rid);
-  send_soft(node_rank, encode(m));
   std::unique_lock lock(mu_);
-  auto it = stats_waiters_.find(rid);
-  cv_.wait_for(lock, timeout, [&] { return it->second.done; });
-  std::string text = std::move(it->second.text);
-  stats_waiters_.erase(it);
-  return text;
+  if (stop_.load()) return {};  // no pump left to answer or expire it
+  const std::uint64_t rid = query_locked(node_rank, Route::Kind::kControl,
+                                         rejuvenate, timeout, Clock::now());
+  return collect(lock, rid).text();
 }
 
 std::string MeshRouter::rejuvenate(std::uint32_t node_rank,
@@ -201,7 +204,7 @@ void MeshRouter::pump() {
       if (d.ok) {
         switch (d.msg.type) {
           case MsgType::kJobDone:
-            handle_done(d.msg.job_done);
+            handle_done(std::move(d.msg.job_done));
             break;
           case MsgType::kJobStarted:
             handle_started(d.msg.job_started);
@@ -217,7 +220,7 @@ void MeshRouter::pump() {
               std::lock_guard lock(mu_);
               mark_seen_locked(d.msg.ping.from, Clock::now());
             }
-            send_soft(d.msg.ping.from, pong);
+            send_soft(transport_, d.msg.ping.from, pong);
             break;
           }
           case MsgType::kPong: {
@@ -244,39 +247,43 @@ void MeshRouter::mark_seen_locked(std::uint32_t node, Clock::time_point now) {
     // answers retried keys it already finished.
     it->second.alive = true;
     heals_.fetch_add(1, std::memory_order_relaxed);
-    for (auto& [rid, p] : pending_) {
-      if (p.done || p.node != node) continue;
-      send_soft(node, p.frame);
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      p.next_retry = now + p.backoff;
-    }
+    // Parked keys get their first candidate back.
+    table_.for_each([&](std::uint64_t rid, Route& r) {
+      if (r.kind != Route::Kind::kJob) return;
+      if (r.node == kNoNode) {
+        route_locked(rid, r, now);
+      } else if (r.node == node) {
+        send_soft(transport_, node, table_.rearm(rid, now));
+        retries_.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
   }
 }
 
-void MeshRouter::handle_done(const JobDoneMsg& msg) {
+void MeshRouter::handle_done(JobDoneMsg msg) {
   std::lock_guard lock(mu_);
-  auto it = pending_.find(msg.request_id);
-  if (it == pending_.end() || it->second.done) return;
-  Pending& p = it->second;
+  Route* r = table_.find(msg.request_id, MsgType::kJobDone);
+  if (r == nullptr) return;
   // The reply itself proves its node is alive — but kJobDone carries no
   // sender id (a stolen job answers from the thief), so only the
   // *assigned* node's clock can be refreshed, and only heuristically.
-  mark_seen_locked(p.node, Clock::now());
+  mark_seen_locked(r->node, Clock::now());
   if ((msg.flags & kJobDoneWithdrawn) != 0) {
     // The node's start fence refused this key and sealed it locally.
     // Route around it; the exclusion is what keeps the victim's sealed
     // (withdrawn) dedup entry from answering future retries.
     withdrawals_.fetch_add(1, std::memory_order_relaxed);
-    p.excluded.insert(p.node);
-    p.node = kNoNode;
-    p.started = false;
-    route_locked(msg.request_id, p, Clock::now());
+    r->excluded.insert(r->node);
+    r->node = kNoNode;
+    r->started = false;
+    route_locked(msg.request_id, *r, Clock::now());
     return;
   }
-  p.done = true;
-  p.reply.error = static_cast<int>(msg.error);
-  p.reply.races = msg.races;
-  p.reply.payload = msg.payload;
+  table_.take(msg.request_id, MsgType::kJobDone);
+  Reply& reply = resolved_[msg.request_id];
+  reply.error = static_cast<int>(msg.error);
+  reply.races = msg.races;
+  reply.payload = std::move(msg.payload);
   replies_.fetch_add(1, std::memory_order_relaxed);
   cv_.notify_all();
 }
@@ -284,62 +291,47 @@ void MeshRouter::handle_done(const JobDoneMsg& msg) {
 void MeshRouter::handle_started(const JobStartedMsg& msg) {
   std::lock_guard lock(mu_);
   mark_seen_locked(msg.node, Clock::now());
-  auto it = pending_.find(msg.request_id);
-  if (it == pending_.end() || it->second.done) return;
-  Pending& p = it->second;
+  Route* r = table_.find(msg.request_id, MsgType::kJobDone);
+  if (r == nullptr) return;
   // A mark from a node this key was routed *away* from (it withdrew or
   // was reaped while unstarted) is stale and must not pin the key there.
   // A mark from any other node is adopted as the assignment: stealing
   // legitimately moves a key to a thief the router never picked, and the
   // mark is precisely the thief announcing "the body runs here".
-  if (p.excluded.count(msg.node) != 0) return;
-  if (p.node != msg.node) {
-    if (p.node != kNoNode && p.started) return;  // first mark wins
-    p.node = msg.node;
+  if (r->excluded.count(msg.node) != 0) return;
+  if (r->node != msg.node) {
+    if (r->node != kNoNode && r->started) return;  // first mark wins
+    r->node = msg.node;
   }
-  p.started = true;
+  r->started = true;
   started_marks_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void MeshRouter::handle_stats_reply(StatsReplyMsg msg) {
   std::lock_guard lock(mu_);
-  auto it = stats_waiters_.find(msg.request_id);
-  if (it == stats_waiters_.end()) return;
-  StatsWaiter& w = it->second;
-  mark_seen_locked(w.node, Clock::now());
-  if (w.health_poll) {
-    auto node = nodes_.find(w.node);
+  std::optional<Route> r = table_.take(msg.request_id, MsgType::kStatsReply);
+  if (!r) return;
+  mark_seen_locked(r->node, Clock::now());
+  if (r->kind == Route::Kind::kPoll) {
+    auto node = nodes_.find(r->node);
     if (node != nodes_.end()) node->second.health = parse_health(msg.text);
-    stats_waiters_.erase(it);
     return;
   }
-  w.text = std::move(msg.text);
-  w.done = true;
+  resolved_[msg.request_id].payload.assign(msg.text.begin(), msg.text.end());
   cv_.notify_all();
 }
 
 void MeshRouter::service(Clock::time_point now) {
   std::lock_guard lock(mu_);
 
-  // Health polls — the router's heartbeat toward every node.
+  // Health polls — the router's heartbeat toward every node. An
+  // unanswered poll expires after 1 s, so none accumulate while a node is
+  // down.
   for (auto& [n, s] : nodes_) {
     if (now - s.last_poll < opts_.health_interval) continue;
     s.last_poll = now;
-    const std::uint64_t rid = ++next_rid_;
-    StatsWaiter w;
-    w.node = n;
-    w.health_poll = true;
-    w.issued = now;
-    stats_waiters_.emplace(rid, std::move(w));
-    send_soft(n, encode(make_stats_query(self_, rid)));
-  }
-  // Unanswered health polls must not accumulate while a node is down.
-  for (auto it = stats_waiters_.begin(); it != stats_waiters_.end();) {
-    if (it->second.health_poll &&
-        now - it->second.issued > std::chrono::seconds{1})
-      it = stats_waiters_.erase(it);
-    else
-      ++it;
+    query_locked(n, Route::Kind::kPoll, /*rejuvenate=*/false,
+                 std::chrono::seconds{1}, now);
   }
 
   // Reaps: silence past the window kills the node's routing slot and
@@ -350,37 +342,22 @@ void MeshRouter::service(Clock::time_point now) {
     if (!s.alive || now - s.last_seen <= opts_.reap_after) continue;
     s.alive = false;
     reaps_.fetch_add(1, std::memory_order_relaxed);
-    for (auto& [rid, p] : pending_) {
-      if (p.done || p.node != n || p.started) continue;
-      p.excluded.insert(n);
-      route_locked(rid, p, now);
-    }
+    table_.for_each([&](std::uint64_t rid, Route& r) {
+      if (r.kind != Route::Kind::kJob || r.node != n || r.started) return;
+      r.excluded.insert(n);
+      route_locked(rid, r, now);
+    });
   }
 
-  // Per-key timers: deadlines, retransmissions, parked keys.
-  bool resolved = false;
-  for (auto& [rid, p] : pending_) {
-    if (p.done) continue;
-    if (now >= p.deadline) {
-      p.done = true;
-      p.reply.error = anahy::kUnreachable;
-      p.reply.payload.clear();
-      unreachable_.fetch_add(1, std::memory_order_relaxed);
-      resolved = true;
-      continue;
-    }
-    if (p.node == kNoNode) {
-      route_locked(rid, p, now);  // parked: try again now
-      continue;
-    }
-    if (now >= p.next_retry) {
-      p.backoff = std::min(p.backoff * 2, opts_.retry_backoff * 8);
-      p.next_retry = now + p.backoff;
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      send_soft(p.node, p.frame);
-    }
+  // Deadlines and retransmissions (a parked key waits for a heal).
+  auto due = table_.tick(now);
+  for (auto& [rid, r] : due.expired) expire_locked(rid, r);
+  for (auto& [rid, frame] : due.resend) {
+    const Route* r = table_.find(rid, MsgType::kJobDone);
+    if (r == nullptr || r->node == kNoNode) continue;
+    retries_.fetch_add(1, std::memory_order_relaxed);
+    send_soft(transport_, r->node, std::move(frame));
   }
-  if (resolved) cv_.notify_all();
 }
 
 }  // namespace cluster::mesh

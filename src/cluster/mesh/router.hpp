@@ -4,8 +4,10 @@
 // One router fronts N mesh nodes. Every submit is assigned a shard key;
 // weighted rendezvous hashing over the live nodes — weights derived from
 // each node's latest kStatsReply health snapshot — picks the executor.
-// The router keeps a pending table of everything in flight and is the
-// failure authority of the mesh:
+// Submits, health polls and control calls in flight share one
+// RequestTable, the retry core of AsyncServeClient too (request_table.hpp;
+// jitter seeded by the transport rank). The router is the failure
+// authority of the mesh:
 //
 //  * Liveness. Health polls (kStatsQuery) every `health_interval` double
 //    as the traffic that keeps each node's start fence open. A node
@@ -44,6 +46,7 @@
 
 #include "cluster/mesh/health.hpp"
 #include "cluster/message.hpp"
+#include "cluster/request_table.hpp"
 #include "cluster/serve_frontend.hpp"
 #include "cluster/transport.hpp"
 
@@ -64,8 +67,8 @@ struct MeshRouterOptions {
   std::chrono::microseconds reap_after{150'000};
 
   /// First retransmission of an unanswered submit; doubles per retry,
-  /// capped at 8x. Dedup on the nodes makes retries exactly-once inside
-  /// their window.
+  /// capped at 8x, plus jitter of up to a quarter. Dedup on the nodes makes
+  /// retries exactly-once inside their window.
   std::chrono::microseconds retry_backoff{20'000};
 
   /// Default per-call deadline when SubmitOptions.deadline is zero.
@@ -145,18 +148,16 @@ class MeshRouter {
   using Clock = std::chrono::steady_clock;
   static constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
 
-  struct Pending {
-    std::vector<std::uint8_t> frame;  ///< encoded kJobSubmit, retransmitted
+  /// Routing state of a table entry. A job routes by (key, cls); a health
+  /// poll or control call is pinned to `node` and sent once.
+  struct Route {
+    enum class Kind : std::uint8_t { kJob, kPoll, kControl };
+    Kind kind = Kind::kJob;
     std::uint64_t key = 0;
     std::uint8_t cls = 1;
     std::uint32_t node = kNoNode;  ///< current assignment
     bool started = false;          ///< kJobStarted seen from `node`
-    bool done = false;
-    Clock::time_point deadline;
-    Clock::time_point next_retry;
-    std::chrono::microseconds backoff{0};
-    std::set<std::uint32_t> excluded;  ///< withdrew or reaped while unstarted
-    Reply reply;
+    std::set<std::uint32_t> excluded{};  ///< withdrew/reaped while unstarted
   };
 
   struct NodeState {
@@ -166,28 +167,25 @@ class MeshRouter {
     NodeHealth health;
   };
 
-  /// What a kStatsReply correlates to.
-  struct StatsWaiter {
-    std::uint32_t node = kNoNode;
-    bool health_poll = true;  ///< false: a user rejuvenate/stats_text call
-    bool done = false;
-    std::string text;
-    Clock::time_point issued;
-  };
-
   void pump();
-  void service(Clock::time_point now);  // timers: polls, retries, reaps
-  void handle_done(const JobDoneMsg& msg);
+  void service(Clock::time_point now);  // timers: polls, reaps, the table
+  void handle_done(JobDoneMsg msg);
   void handle_started(const JobStartedMsg& msg);
   void handle_stats_reply(StatsReplyMsg msg);
   /// Picks a live, non-excluded node for (key, cls); kNoNode if none.
   [[nodiscard]] std::uint32_t pick_locked(std::uint64_t key, std::uint8_t cls,
                                           const std::set<std::uint32_t>& ex);
-  void route_locked(std::uint64_t rid, Pending& p, Clock::time_point now);
+  void route_locked(std::uint64_t rid, Route& r, Clock::time_point now);
   void mark_seen_locked(std::uint32_t node, Clock::time_point now);
-  /// Send that swallows transport throws (severed peer = lost frame; the
-  /// retry clock covers it).
-  void send_soft(std::uint32_t dst, const std::vector<std::uint8_t>& frame);
+  /// Sends one kStatsQuery (or kRejuvenate) to `node` as a one-shot table
+  /// entry that expires after `timeout`; returns its request id.
+  std::uint64_t query_locked(std::uint32_t node, Route::Kind kind,
+                             bool rejuvenate, std::chrono::microseconds timeout,
+                             Clock::time_point now);
+  /// `r` left the table unanswered: its waiter gets kUnreachable.
+  void expire_locked(std::uint64_t rid, const Route& r);
+  /// Blocks until `rid` leaves the table, then takes its outcome.
+  Reply collect(std::unique_lock<std::mutex>& lock, std::uint64_t rid);
   std::string control_call(std::uint32_t node_rank, bool rejuvenate,
                            std::chrono::microseconds timeout);
 
@@ -197,9 +195,9 @@ class MeshRouter {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::map<std::uint64_t, Pending> pending_;
+  RequestTable<Route, Clock::time_point> table_;  ///< everything in flight
+  std::map<std::uint64_t, Reply> resolved_;  ///< outcomes not yet collected
   std::map<std::uint32_t, NodeState> nodes_;
-  std::map<std::uint64_t, StatsWaiter> stats_waiters_;
   std::uint64_t next_rid_ = 0;
 
   std::atomic<bool> stop_{false};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <set>
 
 namespace cluster {
@@ -18,20 +19,23 @@ int await_text(std::future<AsyncServeClient::Reply> fut, std::string& out) {
   return anahy::kOk;
 }
 
+AsyncServeClient::Reply unreachable() {
+  AsyncServeClient::Reply r;
+  r.error = anahy::kUnreachable;
+  return r;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Link --
 
 void ServeFrontEnd::Link::send_locked(int dst,
                                       const std::vector<std::uint8_t>& frame) {
-  if (transport == nullptr) return;  // front-end stopped; reply dropped
-  try {
-    transport->send(dst, frame);
-  } catch (const std::exception&) {
-    // Severed peer (TCP throws). The reply is lost; if the client is still
-    // alive it will retry and be answered from the dedup cache.
+  // Null once the front-end stopped: the reply is dropped. A severed
+  // peer loses it too; a live client retries and is answered from the
+  // dedup cache.
+  if (transport != nullptr && !send_soft(*transport, dst, frame))
     ++send_failures;
-  }
 }
 
 void ServeFrontEnd::Link::record_done_locked(const Key& key,
@@ -447,7 +451,7 @@ void ServeFrontEnd::handle_submit(JobSubmitMsg msg, bool exportable) {
 
 AsyncServeClient::AsyncServeClient(Transport& transport, int server_node,
                                    std::uint64_t seed)
-    : transport_(transport), server_node_(server_node), jitter_state_(seed) {
+    : transport_(transport), server_node_(server_node), table_(seed) {
   pump_ = std::thread([this] { pump(); });
 }
 
@@ -455,16 +459,12 @@ AsyncServeClient::~AsyncServeClient() {
   stop_.store(true);
   if (pump_.joinable()) pump_.join();
   // Outstanding submissions resolve definitely even at teardown.
-  std::map<std::uint64_t, Pending> orphans;
+  std::vector<std::pair<std::uint64_t, Pending>> orphans;
   {
     std::lock_guard lock(mu_);
-    orphans.swap(pending_);
+    orphans = table_.take_all();
   }
-  for (auto& [id, p] : orphans) {
-    Reply r;
-    r.error = anahy::kUnreachable;
-    resolve(std::move(p), std::move(r));
-  }
+  for (auto& [id, p] : orphans) resolve(std::move(p), unreachable());
 }
 
 void AsyncServeClient::resolve(Pending&& p, Reply r) {
@@ -472,41 +472,16 @@ void AsyncServeClient::resolve(Pending&& p, Reply r) {
   p.promise.set_value(std::move(r));
 }
 
-std::uint64_t AsyncServeClient::next_jitter_locked(std::uint64_t bound_us) {
-  if (bound_us == 0) return 0;
-  std::uint64_t z = (jitter_state_ += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  z ^= z >> 31;
-  return z % bound_us;
-}
-
 std::future<AsyncServeClient::Reply> AsyncServeClient::start(
     std::uint64_t id, std::vector<std::uint8_t> frame, const CallOptions& copts,
-    bool is_stats, Callback callback) {
-  const auto now = Clock::now();
-  Pending p;
-  p.callback = std::move(callback);
-  p.deadline = now + copts.deadline;
-  p.backoff = std::max(copts.initial_backoff, std::chrono::microseconds{1});
-  p.max_backoff = copts.max_backoff;
-  p.max_attempts = copts.max_attempts;
-  p.is_stats = is_stats;
-  std::vector<std::uint8_t> wire_copy = frame;
-  p.frame = std::move(frame);
+    MsgType reply, Callback callback) {
+  Pending p{{}, std::move(callback)};
   std::future<Reply> fut = p.promise.get_future();
   {
     std::lock_guard lock(mu_);
-    const auto jitter = std::chrono::microseconds{next_jitter_locked(
-        static_cast<std::uint64_t>(p.backoff.count() / 4 + 1))};
-    p.next_resend = now + p.backoff + jitter;
-    pending_.emplace(id, std::move(p));
+    table_.add(id, frame, reply, copts, Clock::now(), std::move(p));
   }
-  try {
-    transport_.send(server_node_, std::move(wire_copy));
-  } catch (const std::exception&) {
-    // Unreachable peer: retransmit timers (or the deadline) settle it.
-  }
+  send_soft(transport_, server_node_, std::move(frame));
   return fut;
 }
 
@@ -520,7 +495,7 @@ std::future<AsyncServeClient::Reply> AsyncServeClient::submit_async(
                    static_cast<std::uint32_t>(transport_.node_id()), id,
                    static_cast<std::uint8_t>(priority), timeout_ns, check,
                    function, std::move(payload))),
-               copts, /*is_stats=*/false, std::move(callback));
+               copts, MsgType::kJobDone, std::move(callback));
 }
 
 AsyncServeClient::Reply AsyncServeClient::call(
@@ -538,7 +513,7 @@ int AsyncServeClient::query_stats(std::string& out, const CallOptions& copts) {
       start(id,
             encode(make_stats_query(
                 static_cast<std::uint32_t>(transport_.node_id()), id)),
-            copts, /*is_stats=*/true, nullptr),
+            copts, MsgType::kStatsReply, nullptr),
       out);
 }
 
@@ -550,13 +525,13 @@ int AsyncServeClient::rejuvenate(std::string& out, const CallOptions& copts,
       start(id,
             encode(make_rejuvenate(
                 static_cast<std::uint32_t>(transport_.node_id()), id, target)),
-            copts, /*is_stats=*/true, nullptr),
+            copts, MsgType::kStatsReply, nullptr),
       out);
 }
 
 std::size_t AsyncServeClient::inflight() const {
   std::lock_guard lock(mu_);
-  return pending_.size();
+  return table_.size();
 }
 
 void AsyncServeClient::handle_frame(const std::vector<std::uint8_t>& frame) {
@@ -567,101 +542,40 @@ void AsyncServeClient::handle_frame(const std::vector<std::uint8_t>& frame) {
   }
   switch (d.msg.type) {
     case MsgType::kPing:
-      try {
-        transport_.send(
-            server_node_,
-            encode(make_pong(static_cast<std::uint32_t>(transport_.node_id()),
-                             d.msg.ping.token)));
-      } catch (const std::exception&) {
-        // Server vanished mid-probe; the retry machinery will notice.
-      }
+      send_soft(transport_, server_node_,
+                encode(make_pong(
+                    static_cast<std::uint32_t>(transport_.node_id()),
+                    d.msg.ping.token)));
       pings_answered_.fetch_add(1, std::memory_order_relaxed);
       break;
-    case MsgType::kJobDone: {
-      const std::uint64_t id = d.msg.job_done.request_id;
-      Pending p;
-      {
-        std::lock_guard lock(mu_);
-        auto it = pending_.find(id);
-        if (it == pending_.end() || it->second.is_stats) {
-          duplicate_replies_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        p = std::move(it->second);
-        pending_.erase(it);
-      }
-      Reply r;
-      r.error = static_cast<int>(d.msg.job_done.error);
-      r.races = d.msg.job_done.races;
-      r.payload = std::move(d.msg.job_done.payload);
-      resolve(std::move(p), std::move(r));
-      break;
-    }
+    case MsgType::kJobDone:
     case MsgType::kStatsReply: {
-      const std::uint64_t id = d.msg.stats_reply.request_id;
-      Pending p;
+      const bool job = d.msg.type == MsgType::kJobDone;
+      std::optional<Pending> p;
       {
         std::lock_guard lock(mu_);
-        auto it = pending_.find(id);
-        if (it == pending_.end() || !it->second.is_stats) {
-          duplicate_replies_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        p = std::move(it->second);
-        pending_.erase(it);
+        p = table_.take(job ? d.msg.job_done.request_id
+                            : d.msg.stats_reply.request_id,
+                        d.msg.type);
+      }
+      if (!p) {
+        duplicate_replies_.fetch_add(1, std::memory_order_relaxed);
+        return;
       }
       Reply r;
-      r.error = anahy::kOk;
-      r.payload.assign(d.msg.stats_reply.text.begin(),
-                       d.msg.stats_reply.text.end());
-      resolve(std::move(p), std::move(r));
+      if (job) {
+        r.error = static_cast<int>(d.msg.job_done.error);
+        r.races = d.msg.job_done.races;
+        r.payload = std::move(d.msg.job_done.payload);
+      } else {
+        r.payload.assign(d.msg.stats_reply.text.begin(),
+                         d.msg.stats_reply.text.end());
+      }
+      resolve(std::move(*p), std::move(r));
       break;
     }
     default:
       break;  // not client traffic; drop
-  }
-}
-
-void AsyncServeClient::service_timers(Clock::time_point now) {
-  // Two passes: decide under the lock, act (resolve / retransmit) outside
-  // it so callbacks and sends never run with mu_ held.
-  std::vector<Pending> expired;
-  std::vector<std::vector<std::uint8_t>> resend;
-  {
-    std::lock_guard lock(mu_);
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      Pending& p = it->second;
-      // The attempt budget is spent only once the last attempt's backoff
-      // slice has passed unanswered, like every earlier attempt's.
-      if (now >= p.deadline ||
-          (now >= p.next_resend && p.max_attempts > 0 &&
-           p.attempts >= p.max_attempts)) {
-        expired.push_back(std::move(p));
-        it = pending_.erase(it);
-        continue;
-      }
-      if (now >= p.next_resend) {
-        resend.push_back(p.frame);
-        ++p.attempts;
-        p.backoff = std::min(p.backoff * 2, p.max_backoff);
-        const auto jitter = std::chrono::microseconds{next_jitter_locked(
-            static_cast<std::uint64_t>(p.backoff.count() / 4 + 1))};
-        p.next_resend = now + p.backoff + jitter;
-      }
-      ++it;
-    }
-  }
-  for (auto& frame : resend) {
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    try {
-      transport_.send(server_node_, std::move(frame));
-    } catch (const std::exception&) {
-    }
-  }
-  for (auto& p : expired) {
-    Reply r;
-    r.error = anahy::kUnreachable;
-    resolve(std::move(p), std::move(r));
   }
 }
 
@@ -676,10 +590,20 @@ void AsyncServeClient::pump() {
         handle_frame(frame);
     }
     const auto now = Clock::now();
-    if (now >= next_timer_scan) {
-      service_timers(now);
-      next_timer_scan = now + std::chrono::microseconds{1000};
+    if (now < next_timer_scan) continue;
+    next_timer_scan = now + std::chrono::microseconds{1000};
+    // Decide under the lock, act outside it: callbacks and sends never run
+    // with mu_ held.
+    decltype(table_)::Due due;
+    {
+      std::lock_guard lock(mu_);
+      due = table_.tick(now);
     }
+    for (auto& [id, bytes] : due.resend) {
+      retries_.fetch_add(1, std::memory_order_relaxed);
+      send_soft(transport_, server_node_, std::move(bytes));
+    }
+    for (auto& [id, p] : due.expired) resolve(std::move(p), unreachable());
   }
 }
 

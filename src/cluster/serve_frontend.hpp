@@ -18,9 +18,10 @@
 //
 //  * Every frame carries the magic/length/CRC envelope; malformed input is
 //    dropped with an ANAHY-F00x count, never parsed into garbage.
-//  * AsyncServeClient retries lost requests under capped exponential
-//    backoff with jitter and a per-request deadline; exhausted retries
-//    yield a definite kUnreachable outcome instead of a hang.
+//  * AsyncServeClient retries lost requests through a RequestTable
+//    (request_table.hpp, the retry core mesh::MeshRouter shares): capped
+//    exponential backoff with seeded jitter under a per-request deadline;
+//    exhausted retries yield kUnreachable instead of a hang.
 //  * The front-end keeps a dedup window of completed replies keyed by
 //    (client, request id), so a retried request is answered from cache
 //    (exactly-once execution) instead of running twice; a retry of a
@@ -49,6 +50,7 @@
 #include "anahy/serve/job_server.hpp"
 #include "cluster/message.hpp"
 #include "cluster/registry.hpp"
+#include "cluster/request_table.hpp"
 #include "cluster/transport.hpp"
 
 namespace cluster {
@@ -304,20 +306,6 @@ class ServeFrontEnd {
   std::thread pump_;
 };
 
-/// Retry/backoff envelope of every AsyncServeClient request.
-struct CallOptions {
-  /// Overall per-request deadline; when it passes without a reply the
-  /// request resolves kUnreachable.
-  std::chrono::microseconds deadline{2'000'000};
-  /// First retransmission happens this long after an unanswered send;
-  /// subsequent waits double, capped at max_backoff, plus jitter.
-  std::chrono::microseconds initial_backoff{10'000};
-  std::chrono::microseconds max_backoff{200'000};
-  /// Send attempts before giving up (0 = bounded by the deadline alone).
-  /// The last attempt still waits out its backoff slice for a reply.
-  int max_attempts = 0;
-};
-
 /// Client side: submits registered functions to a remote front-end and
 /// collects replies. Many requests can be in flight on ONE transport
 /// endpoint, submitted from any number of threads.
@@ -325,10 +313,10 @@ struct CallOptions {
 /// Thread-safe. An internal pump thread owns the receive side (honoring
 /// the transport's one-receiver rule), resolves futures and callbacks,
 /// answers heartbeat pings, and retransmits unanswered requests under the
-/// same request id with capped exponential backoff + jitter. Retries
-/// therefore stay exactly-once through the server's dedup window, and
-/// every request resolves definitely (kUnreachable on give-up, never a
-/// hang, never a throw on transport failure).
+/// same request id as its RequestTable decides. Retries therefore stay
+/// exactly-once through the server's dedup window, and every request
+/// resolves definitely (kUnreachable on give-up, never a hang, never a
+/// throw on transport failure).
 ///
 /// Concurrent submissions share the socket and, on the epoll wire path
 /// (docs/WIRE.md), coalesce into writev batches instead of serializing on
@@ -425,21 +413,11 @@ class AsyncServeClient {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One in-flight request. `frame` is the encoded request, kept so
-  /// retransmits do not re-encode; `is_stats` marks requests answered by
-  /// kStatsReply (stats pulls and rejuvenate commands), whose Reply
-  /// carries the text as payload.
+  /// What resolves one in-flight request; its frame, reply type and
+  /// retry envelope live in the request table.
   struct Pending {
     std::promise<Reply> promise;
     Callback callback;
-    std::vector<std::uint8_t> frame;
-    Clock::time_point deadline;
-    Clock::time_point next_resend;
-    std::chrono::microseconds backoff{0};
-    std::chrono::microseconds max_backoff{0};
-    int attempts = 1;
-    int max_attempts = 0;
-    bool is_stats = false;
   };
 
   /// A fresh request id for this client.
@@ -447,23 +425,20 @@ class AsyncServeClient {
     return next_request_.fetch_add(1, std::memory_order_relaxed);
   }
   /// The one start path of every request: registers `frame` (encoded under
-  /// `id`) as pending and sends its first attempt.
+  /// `id`, answered by a `reply` frame) and sends its first attempt.
   std::future<Reply> start(std::uint64_t id, std::vector<std::uint8_t> frame,
-                           const CallOptions& copts, bool is_stats,
+                           const CallOptions& copts, MsgType reply,
                            Callback callback);
 
   void pump();
   void handle_frame(const std::vector<std::uint8_t>& frame);
-  void service_timers(Clock::time_point now);
-  /// Resolves `p` (erased from the map by the caller) with `r`.
+  /// Resolves `p` (already out of the table) with `r`.
   static void resolve(Pending&& p, Reply r);
-  std::uint64_t next_jitter_locked(std::uint64_t bound_us);
 
   Transport& transport_;
   int server_node_;
-  mutable std::mutex mu_;  ///< guards pending_ and jitter_state_
-  std::map<std::uint64_t, Pending> pending_;
-  std::uint64_t jitter_state_;
+  mutable std::mutex mu_;  ///< guards table_
+  RequestTable<Pending, Clock::time_point> table_;
   std::atomic<std::uint64_t> next_request_{1};
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> retries_{0};

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cluster {
@@ -30,6 +31,19 @@ class Transport {
   [[nodiscard]] virtual int node_id() const = 0;
   [[nodiscard]] virtual int node_count() const = 0;
 };
+
+/// Sends without throwing: a severed peer (TCP throws) just loses the
+/// frame, for traffic that a retry, a probe or a deadline recovers.
+/// Returns false when the frame was lost.
+inline bool send_soft(Transport& transport, int dst,
+                      std::vector<std::uint8_t> frame) {
+  try {
+    transport.send(dst, std::move(frame));
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
 
 /// Builds an `n`-node in-memory fabric; frames are delivered immediately
 /// (inject delay with anahy::fault::FaultyTransport). Endpoint i is the

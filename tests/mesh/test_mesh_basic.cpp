@@ -189,6 +189,24 @@ TEST(MeshBasic, RouterIgnoresRetiredShutdownFrame) {
   EXPECT_EQ(router.wait(id).error, anahy::kOk);
 }
 
+TEST(MeshBasic, StoppedRouterResolvesLateCallsAtOnce) {
+  MeshRig rig;
+  MeshRouter router(*rig.fabric[kRouterRank], rig.router_options());
+  router.stop();
+  const std::uint64_t id = router.submit("echo", {7});
+  // Checked before wait(): a handle the stopped router strands would
+  // block wait() forever.
+  ASSERT_TRUE(router.done(id)) << "submit after stop() never resolves";
+  EXPECT_EQ(router.wait(id).error, anahy::kUnreachable);
+  EXPECT_EQ(router.counters().unreachable, 1u);
+  // A control call after stop() answers empty instead of waiting out its
+  // timeout.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(router.stats_text(0, 30s).empty());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 10s);
+  EXPECT_EQ(rig.total_executions(), 0u);
+}
+
 TEST(MeshBasic, FrontEndAnswersPings) {
   MeshRig rig;
   rig.probe().send(0, encode(make_ping(kProbeRank, 99)));
