@@ -156,7 +156,7 @@ int main() {
   JobSpec late;
   late.body = sum_job;
   late.input = &server.runtime();
-  late.timeout_ns = 1;  // expires before the dispatcher can start it
+  late.timeout_ns = 1;  // expires before its root can start
   JobHandle timed_out = server.submit(std::move(late));
 
   // --- Verify every handle. ---------------------------------------------

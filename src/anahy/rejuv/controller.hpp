@@ -7,8 +7,8 @@
 // which is far too much per submit. The controller therefore caches one
 // pre-computed verdict per priority class in an atomic, and submit() pays
 // exactly one relaxed load. The cache is refreshed from a fresh snapshot
-// at the natural pressure-change points: job completion, aging samples,
-// rejuvenation cycles and the dispatcher's deferral ticks.
+// at job completion, aging samples and rejuvenation cycles; the server's
+// housekeeper thread releases held jobs at their defer deadlines.
 #pragma once
 
 #include <array>
@@ -39,7 +39,7 @@ struct ControllerOptions {
   BatchShed batch_shed = BatchShed::kDefer;
 
   /// Upper bound on how long a deferred batch job may be held past its
-  /// submit before the dispatcher runs it regardless (bounded deferral,
+  /// submit before the server dispatches it regardless (bounded deferral,
   /// never starvation; the job's own deadline still caps it first).
   std::int64_t max_defer_ns = 500'000'000;
 };
@@ -64,7 +64,7 @@ class AdmissionController {
   }
 
   /// True when `cls` is currently scored over its budget slice (the
-  /// dispatcher's hold test for deferred batch work).
+  /// server's hold test for deferred batch work).
   [[nodiscard]] bool over(Priority cls) const {
     return over_[static_cast<std::size_t>(cls)].load(
         std::memory_order_relaxed);

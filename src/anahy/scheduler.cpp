@@ -121,17 +121,12 @@ bool Scheduler::on_current_stack(const Task* task) {
 }
 
 TaskPtr Scheduler::create_task(TaskBody body, void* input,
-                               const TaskAttributes& attr, std::string label) {
-  return create_task(std::move(body), input, attr, std::move(label), nullptr);
-}
-
-TaskPtr Scheduler::create_task(TaskBody body, void* input,
                                const TaskAttributes& attr, std::string label,
                                TaskContextPtr ctx) {
-  Frame& f = current_frame();
   // Context inheritance: a fork issued from inside a job's task joins that
   // job, unless the caller attached a context explicitly (the job root).
   const bool explicit_ctx = ctx != nullptr;
+  const Frame f = explicit_ctx ? Frame{} : current_frame();
   if (!explicit_ctx && f.task != nullptr) ctx = f.task->context();
   const TaskId id = next_id_.fetch_add(1, std::memory_order_relaxed);
   // allocate_shared + the pool allocator: one block per task (control block
@@ -159,7 +154,8 @@ TaskPtr Scheduler::create_task(TaskBody body, void* input,
   task->set_state(TaskState::kReady);
 
   if (detector_ != nullptr) [[unlikely]]
-    detector_->on_fork(current_task_id(), id, label, job);
+    detector_->on_fork(f.task != nullptr ? f.task->id() : kRootTaskId, id,
+                       label, job);
 
   const int vp = bound_vp();
   if (trace_.enabled()) {

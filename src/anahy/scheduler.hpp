@@ -93,15 +93,12 @@ class Scheduler {
   /// Fork: creates a task in the READY list. `label` is kept in the trace.
   /// The task inherits the forking task's execution context (job identity,
   /// priority class, cancellation/deadline; task_context.hpp) when one is
-  /// attached; top-level forks carry none.
+  /// attached; top-level forks carry none. An explicit `ctx` makes it a
+  /// serve job's root: descendants inherit `ctx`, it is exempt from
+  /// cancellation skipping (ctx->root_task is set here) and it forks from a
+  /// fresh main-flow frame (flow T0, level 1) whatever thread dispatches it.
   TaskPtr create_task(TaskBody body, void* input, const TaskAttributes& attr,
-                      std::string label = {});
-
-  /// Fork with an explicit execution context: the root task of a serve
-  /// job. Descendant forks inherit `ctx` automatically; the root task is
-  /// exempt from cancellation skipping (ctx->root_task is set here).
-  TaskPtr create_task(TaskBody body, void* input, const TaskAttributes& attr,
-                      std::string label, TaskContextPtr ctx);
+                      std::string label = {}, TaskContextPtr ctx = nullptr);
 
   /// Runs queued tasks on the calling thread until every created task has
   /// executed (service-mode teardown; Options::drain_on_exit). Tasks

@@ -169,10 +169,10 @@ class Job {
   [[nodiscard]] bool exportable() const { return spec_.exportable; }
 
   /// Rejuvenation deferral (docs/REJUV.md): a batch job admitted while the
-  /// memory budget was over is *held* in the pending queue — the
-  /// dispatcher skips it — until the pressure clears or this deadline
-  /// passes (negative = never deferred). Written once at submit, under the
-  /// server lock; read by the dispatcher under the same lock.
+  /// memory budget was over is *held* in the pending queue — dispatch
+  /// skips it — until the pressure clears or this deadline passes
+  /// (negative = never deferred). Written once at submit, under the server
+  /// lock; read by dispatch under the same lock.
   void set_defer_deadline(std::int64_t ns) { defer_deadline_ns_ = ns; }
   [[nodiscard]] std::int64_t defer_deadline() const {
     return defer_deadline_ns_;

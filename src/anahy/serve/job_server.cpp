@@ -22,32 +22,23 @@ JobServer::JobServer(ServerOptions opts)
         std::make_unique<rejuv::AdmissionController>(opts_.rejuv_admission);
   engine_ = std::make_unique<rejuv::RejuvEngine>(*rt_);
   policy_ = rejuv::RejuvPolicy(opts_.rejuv_policy);
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-  if (opts_.rejuv_period_ns > 0)
-    rejuv_thread_ = std::thread([this] { rejuv_policy_loop(); });
+  if (opts_.rejuv_period_ns > 0 || admission_ != nullptr)
+    housekeeper_ = std::thread([this] { housekeeping_loop(); });
 }
 
 JobServer::~JobServer() {
-  // The policy thread goes first: it calls rejuvenate(), which restarts
+  // The housekeeper goes first: it calls rejuvenate(), which restarts
   // VPs, and must never race the runtime teardown below.
-  if (rejuv_thread_.joinable()) {
-    {
-      std::lock_guard lock(rejuv_mu_);
-      rejuv_stop_ = true;
-    }
-    rejuv_cv_.notify_all();
-    rejuv_thread_.join();
+  if (housekeeper_.joinable()) {
+    std::unique_lock lock(mu_);
+    housekeeping_stop_ = true;
+    housekeeping_cv_.notify_all();
+    lock.unlock();
+    housekeeper_.join();
   }
   // Unbounded shutdown: every admitted handle resolves (actives are
   // cancelled, so their descendants skip and the roots finish fast).
   shutdown(/*deadline_ns=*/-1);
-  {
-    std::lock_guard lock(mu_);
-    stop_ = true;
-  }
-  dispatch_cv_.notify_all();
-  admit_cv_.notify_all();
-  dispatcher_.join();
   rt_.reset();  // drain_on_exit runs any straggler tasks before VP stop
 }
 
@@ -96,8 +87,8 @@ JobHandle JobServer::submit(JobSpec spec) {
   const std::int64_t now = TaskContext::now_ns();
   auto job = std::make_shared<Job>(id, std::move(spec), now);
   if (decision == rejuv::Decision::kDefer) {
-    // Admitted but held: the dispatcher skips this batch job while the
-    // budget stays over, up to a bounded deadline. The job's own timeout
+    // Admitted but held: dispatch skips this batch job while the budget
+    // stays over, up to a bounded deadline. The job's own timeout
     // caps the hold first — deferral respects deadlines, a job is never
     // parked past the point where it could still finish in time.
     std::int64_t until = now + admission_->options().max_defer_ns;
@@ -105,73 +96,67 @@ JobHandle JobServer::submit(JobSpec spec) {
       until = std::min(until, job->context()->deadline_ns);
     job->set_defer_deadline(until);
     rejuv_deferred_.fetch_add(1, std::memory_order_relaxed);
+    housekeeping_cv_.notify_one();  // it sleeps until the next deadline
   }
   pending_[static_cast<std::size_t>(cls)].push_back(job);
   ++pending_count_;
   ++agg_.of(cls).submitted;
-  dispatch_cv_.notify_one();
+  dispatch(take_dispatchable_locked(now), lock);
   return JobHandle(std::move(job));
 }
 
-void JobServer::dispatcher_loop() {
-  for (;;) {
-    JobPtr job;
-    {
-      std::unique_lock lock(mu_);
-      dispatch_cv_.wait(lock, [&] {
-        return stop_ ||
-               (pending_count_ > 0 &&
-                (opts_.max_active == 0 || active_.size() < opts_.max_active));
-      });
-      if (stop_) return;
-      // Highest class first; FIFO within a class (admission order). A
-      // batch head admitted under deferral (docs/REJUV.md) is *held* —
-      // skipped, not popped — while the memory budget stays over and its
-      // defer deadline has not passed; draining cancels all holds (drain
-      // means "finish the work", pressure or not).
-      const std::int64_t now = TaskContext::now_ns();
-      for (std::size_t c = 0; c < pending_.size(); ++c) {
-        auto& q = pending_[c];
-        if (q.empty()) continue;
-        if (static_cast<Priority>(c) == Priority::kBatch &&
-            admission_ != nullptr && !draining_ &&
-            admission_->over(Priority::kBatch) &&
-            q.front()->defer_deadline() > now)
-          continue;
-        job = std::move(q.front());
-        q.pop_front();
-        break;
-      }
-      if (job == nullptr) {
-        // Everything pending is held batch work: poll on a short tick so
-        // a budget clear (the controller refreshes on job completions,
-        // aging samples and rejuvenation cycles) or an expiring defer
-        // deadline is noticed promptly.
-        dispatch_cv_.wait_for(lock, std::chrono::milliseconds{5});
-        continue;
-      }
-      --pending_count_;
-      active_.emplace(job->id(), job);
-      admit_cv_.notify_one();
-    }
-    dispatch(job);
+JobPtr JobServer::take_dispatchable_locked(std::int64_t now) {
+  // One dispatched root at a time waits for a VP; while it waits no VP is
+  // free for another, so the next job stays in the class-ordered pending
+  // queue and that root forks it when it starts. Forking each job at once
+  // costs the submitter (a front-end's one decode thread) a VP wake-up.
+  if (root_waiting_ ||
+      (opts_.max_active != 0 && active_.size() >= opts_.max_active))
+    return nullptr;
+  // Highest class first; FIFO within a class (admission order). A batch
+  // head admitted under deferral (docs/REJUV.md) is *held* — skipped, not
+  // popped — while the memory budget stays over and its defer deadline has
+  // not passed; draining cancels all holds (drain means "finish the work",
+  // pressure or not).
+  for (std::size_t c = 0; c < pending_.size(); ++c) {
+    auto& q = pending_[c];
+    if (q.empty()) continue;
+    if (static_cast<Priority>(c) == Priority::kBatch &&
+        admission_ != nullptr && !draining_ &&
+        admission_->over(Priority::kBatch) &&
+        q.front()->defer_deadline() > now)
+      continue;
+    JobPtr job = std::move(q.front());
+    q.pop_front();
+    --pending_count_;
+    active_.emplace(job->id(), job);
+    root_waiting_ = true;
+    admit_cv_.notify_one();
+    return job;
   }
+  return nullptr;
 }
 
-void JobServer::dispatch(const JobPtr& job) {
+void JobServer::dispatch(JobPtr job, std::unique_lock<std::mutex>& lock) {
+  lock.unlock();
+  if (job == nullptr) return;
   TaskAttributes attr;
   attr.set_join_number(0);  // detached: completion flows through the handle
   attr.set_checked(job->checked());
-  JobPtr j = job;
   rt_->scheduler().create_task(
-      [this, j](void*) -> void* {
-        run_root(j);
+      [this, job](void*) -> void* {
+        run_root(job);
         return nullptr;
       },
       job->input(), attr, job->label(), job->context());
 }
 
 void JobServer::run_root(const JobPtr& job) {
+  {
+    std::unique_lock lock(mu_);
+    root_waiting_ = false;
+    dispatch(take_dispatchable_locked(TaskContext::now_ns()), lock);
+  }
   job->mark_running();
   const TaskContextPtr& ctx = job->context();
   int err = kOk;
@@ -227,10 +212,11 @@ void JobServer::finish_job(const JobPtr& job) {
   // (this job's pool blocks were credited back). Outside mu_: the
   // controller is its own synchronization domain.
   if (admission_ != nullptr) admission_->refresh(pool_snapshot());
-  std::lock_guard lock(mu_);
+  std::unique_lock lock(mu_);
   active_.erase(job->id());
-  dispatch_cv_.notify_one();
   idle_cv_.notify_all();
+  // On a VP the successor lands on this VP's own deque: popped, not stolen.
+  dispatch(take_dispatchable_locked(TaskContext::now_ns()), lock);
 }
 
 void JobServer::account_locked(const JobResult& r, Priority cls) {
@@ -261,7 +247,7 @@ std::size_t JobServer::export_queued(
     const std::function<bool(const Job&)>& eligible) {
   std::vector<JobPtr> out;
   {
-    std::lock_guard lock(mu_);
+    std::unique_lock lock(mu_);
     if (draining_ || max == 0) return 0;
     auto& q = pending_[static_cast<std::size_t>(cls)];
     // Newest-first: the back of the FIFO is farthest from local dispatch,
@@ -274,6 +260,8 @@ std::size_t JobServer::export_queued(
       q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
     }
     pending_count_ -= out.size();
+    // An exported held batch head may uncover a job that can start.
+    dispatch(take_dispatchable_locked(TaskContext::now_ns()), lock);
   }
   if (out.empty()) return 0;
   // Same resolve -> account -> publish order as run_root: the on_complete
@@ -295,6 +283,8 @@ void JobServer::drain() {
   std::unique_lock lock(mu_);
   draining_ = true;
   admit_cv_.notify_all();  // blocked submitters resolve kPerm
+  dispatch(take_dispatchable_locked(TaskContext::now_ns()), lock);
+  lock.lock();
   idle_cv_.wait(lock, [&] { return pending_count_ == 0 && active_.empty(); });
 }
 
@@ -389,7 +379,13 @@ void JobServer::record_aging_sample() {
   // An aging sample is a natural admission refresh point (the scrape
   // cadence bounds how stale the cached verdicts can get even on an idle
   // server with no completions).
-  if (admission_ != nullptr) admission_->refresh(pool);
+  if (admission_ != nullptr) refresh_admission(pool);
+}
+
+void JobServer::refresh_admission(const PoolSnapshot& pool) {
+  admission_->refresh(pool);
+  std::unique_lock lock(mu_);
+  dispatch(take_dispatchable_locked(TaskContext::now_ns()), lock);
 }
 
 aging::Series JobServer::aging_series() const {
@@ -415,8 +411,7 @@ rejuv::CycleReport JobServer::rejuvenate() {
   }
   // The cycle just moved a lot of memory; re-score admissions now rather
   // than waiting for the next completion.
-  if (admission_ != nullptr) admission_->refresh(pool_snapshot());
-  dispatch_cv_.notify_one();  // held batch work may be dispatchable again
+  if (admission_ != nullptr) refresh_admission(pool_snapshot());
   return rep;
 }
 
@@ -430,20 +425,30 @@ JobServer::RejuvCounters JobServer::rejuv_counters() const {
   return c;
 }
 
-void JobServer::rejuv_policy_loop() {
-  const auto period = std::chrono::nanoseconds{opts_.rejuv_period_ns};
-  std::unique_lock lock(rejuv_mu_);
-  for (;;) {
-    if (rejuv_cv_.wait_for(lock, period, [&] { return rejuv_stop_; })) return;
-    lock.unlock();
-    // Sample first so the window the policy sees includes the present.
-    record_aging_sample();
-    const aging::Analysis a = aging_report(opts_.rejuv_policy.analyze);
-    const rejuv::RejuvPolicy::Verdict v =
-        policy_.evaluate(a, TaskContext::now_ns());
-    if (v.trip) (void)rejuvenate();
-    if (admission_ != nullptr) admission_->refresh(pool_snapshot());
+void JobServer::housekeeping_loop() {
+  const std::int64_t period = opts_.rejuv_period_ns;
+  std::int64_t next_tick = period > 0 ? TaskContext::now_ns() + period
+                                      : INT64_MAX;
+  std::unique_lock lock(mu_);
+  while (!housekeeping_stop_) {
+    const std::int64_t now = TaskContext::now_ns();
+    dispatch(take_dispatchable_locked(now), lock);
+    if (now >= next_tick) {
+      // Sample first so the window the policy sees includes the present.
+      record_aging_sample();
+      const aging::Analysis a = aging_report(opts_.rejuv_policy.analyze);
+      if (policy_.evaluate(a, TaskContext::now_ns()).trip) (void)rejuvenate();
+      next_tick = TaskContext::now_ns() + period;
+    }
     lock.lock();
+    if (housekeeping_stop_) break;
+    // Sleep to the next tick or defer deadline; a deferred submit wakes us.
+    std::int64_t wake = next_tick;
+    for (const JobPtr& j : pending_[static_cast<std::size_t>(Priority::kBatch)])
+      if (j->defer_deadline() > now) wake = std::min(wake, j->defer_deadline());
+    housekeeping_cv_.wait_until(
+        lock, std::chrono::steady_clock::time_point{
+                  std::chrono::nanoseconds{wake}});
   }
 }
 

@@ -18,10 +18,10 @@
 //    destructor that always resolves outstanding handles with kAborted
 //    instead of leaving clients blocked forever.
 //
-// Threading: submit() is safe from any thread. One internal dispatcher
-// thread pops admitted jobs (highest class first) and forks each as a
-// detached root task carrying the job's TaskContext; completion runs on
-// whichever VP finishes the root body. See docs/SERVE.md.
+// Threading: submit() is safe from any thread. A job that may start at
+// once is forked as a detached root task carrying the job's TaskContext on
+// the submitting thread; a starting or finishing root forks the next queued
+// job onto its own VP, where completion runs too. See docs/SERVE.md.
 #pragma once
 
 #include <array>
@@ -100,7 +100,7 @@ struct ServerOptions {
 
   /// Cadence of the online policy thread: every period it records an
   /// aging sample, re-runs the A001/A002/A003 detectors over the rolling
-  /// window and rejuvenates on a trip. 0 (default) = no policy thread;
+  /// window and rejuvenates on a trip. 0 (default) = no policy tick;
   /// rejuvenate() stays available as an operator command (kRejuvenate
   /// cluster frame, `anahy-aging --rejuvenate`).
   std::int64_t rejuv_period_ns = 0;
@@ -208,21 +208,26 @@ class JobServer {
   }
 
  private:
-  void dispatcher_loop();
+  /// The one background thread (policy period or admission on): runs the
+  /// policy tick and releases held batch jobs at their defer deadlines.
+  void housekeeping_loop();
 
-  /// Policy-thread body: sample, analyze the rolling window, rejuvenate
-  /// on a trip (ServerOptions::rejuv_period_ns > 0 only).
-  void rejuv_policy_loop();
+  /// Pops the pending job that may start now, if any (mu_ held); called
+  /// wherever that answer can change.
+  JobPtr take_dispatchable_locked(std::int64_t now);
 
-  /// Forks `job`'s root task into the runtime (dispatcher thread only).
-  void dispatch(const JobPtr& job);
+  /// Releases `lock` (on mu_), then forks `job`'s root task (if any).
+  void dispatch(JobPtr job, std::unique_lock<std::mutex>& lock);
 
-  /// Root-task wrapper: runs the user body unless the context says skip,
-  /// resolves the job and releases its active slot.
+  /// Re-scores admission and dispatches the held work it releases.
+  void refresh_admission(const PoolSnapshot& pool);
+
+  /// Root-task wrapper: dispatches the next job, runs the user body unless
+  /// the context says skip, resolves the job and releases its active slot.
   void run_root(const JobPtr& job);
 
-  /// Releases a published job's active slot and wakes the dispatcher and
-  /// drain()/shutdown() waiters; stats were accounted before publish.
+  /// Releases a published job's active slot, dispatches its successor and
+  /// wakes drain()/shutdown() waiters; stats were accounted before publish.
   void finish_job(const JobPtr& job);
 
   /// Folds a resolved job's result into `agg_` (mu_ held).
@@ -235,15 +240,14 @@ class JobServer {
   std::unique_ptr<Runtime> rt_;
 
   mutable std::mutex mu_;
-  std::condition_variable admit_cv_;     // submitters blocked on a full queue
-  std::condition_variable dispatch_cv_;  // dispatcher waiting for work/slots
-  std::condition_variable idle_cv_;      // drain/shutdown waiting for empty
+  std::condition_variable admit_cv_;  // submitters blocked on a full queue
+  std::condition_variable idle_cv_;   // drain/shutdown waiting for empty
 
   std::array<std::deque<JobPtr>, kNumPriorities> pending_;
   std::size_t pending_count_ = 0;
   std::unordered_map<JobId, JobPtr> active_;
   bool draining_ = false;
-  bool stop_ = false;
+  bool root_waiting_ = false;  // a dispatched root has not started yet
   JobId next_id_ = 1;
   ServerStats agg_;
 
@@ -262,12 +266,9 @@ class JobServer {
   std::atomic<std::uint64_t> rejuv_reaped_tasks_{0};
   std::atomic<std::uint64_t> rejuv_reclaimed_bytes_{0};
 
-  std::mutex rejuv_mu_;  // policy-thread wakeup only
-  std::condition_variable rejuv_cv_;
-  bool rejuv_stop_ = false;
-  std::thread rejuv_thread_;
-
-  std::thread dispatcher_;
+  std::condition_variable housekeeping_cv_;  // housekeeper sleep (mu_)
+  bool housekeeping_stop_ = false;
+  std::thread housekeeper_;
 };
 
 }  // namespace anahy::serve

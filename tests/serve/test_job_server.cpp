@@ -7,11 +7,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "anahy/trace_analysis.hpp"
 
 namespace {
 
@@ -683,7 +688,7 @@ TEST(JobServer, ObserveTextMergesTelemetryAndServeMetrics) {
 
 /// One VP, blocked: everything submitted afterwards stays queued until
 /// the flag flips. `max_active = 1` is what keeps it queued: with no cap
-/// the dispatcher would move each new job into the runtime at once, and
+/// submit() would fork each new job into the runtime at once, and
 /// export_queued would find nothing. Tests flip the flag before they wait
 /// on any handle, so a missed export fails the test instead of hanging it.
 struct BlockedServer {
@@ -804,6 +809,175 @@ TEST(JobServerExport, OnCompleteFiresForMigratedJobs) {
   rig.flag.store(true, std::memory_order_release);
   EXPECT_EQ(h.wait(), kMigrated);
   EXPECT_EQ(completions.load(), 1);
+}
+
+// ----------------------------------------------------------------------
+// Dispatch without a dispatcher thread: submit() forks a startable job on
+// the submitting thread, and a starting or finishing root pulls the next
+// queued job onto its own VP.
+
+/// Entries of /proc/self/task: the threads of this process right now.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+/// Threads that constructing a T from `opts` adds to the process. After
+/// the object is gone, waits (bounded) until its threads have left /proc
+/// too — a joined thread can linger there for a moment — so the next
+/// count starts clean.
+template <typename T, typename Opts>
+std::size_t threads_added(const Opts& opts) {
+  const std::size_t before = live_threads();
+  std::size_t added = 0;
+  {
+    T obj(opts);
+    added = live_threads() - before;
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (live_threads() > before && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  return added;
+}
+
+TEST(JobServerDispatch, ServerThreadsAreTheRuntimesPlusTheHousekeeper) {
+  ServerOptions opts = small_server(2);
+  // The server forces these on its runtime; the bare one gets the same.
+  Options rt_opts = opts.runtime;
+  rt_opts.drain_on_exit = true;
+  rt_opts.main_participates = false;
+  // Warm-up: a sanitizer runtime may start a helper thread of its own at
+  // the first thread creation; it must not be counted against the server.
+  (void)threads_added<Runtime>(rt_opts);
+  const std::size_t runtime = threads_added<Runtime>(rt_opts);
+  EXPECT_EQ(threads_added<JobServer>(opts), runtime);
+
+  // The housekeeper is the one background thread, started for the policy
+  // tick, for admission control, or for both.
+  ServerOptions policy = opts;
+  policy.rejuv_period_ns = kSec;
+  EXPECT_EQ(threads_added<JobServer>(policy), runtime + 1);
+  ServerOptions admission = opts;
+  admission.rejuv_admission.budget.total_bytes = std::uint64_t{1} << 40;
+  EXPECT_EQ(threads_added<JobServer>(admission), runtime + 1);
+  admission.rejuv_period_ns = kSec;
+  EXPECT_EQ(threads_added<JobServer>(admission), runtime + 1);
+}
+
+TEST(JobServerDispatch, QueuedRootsRunOnTheFinishingVpUnstolen) {
+  BlockedServer rig;
+  std::vector<JobHandle> queued;
+  for (int i = 0; i < 20; ++i) queued.push_back(rig.queue_one(false));
+  rig.flag.store(true, std::memory_order_release);
+  std::uint64_t steals = 0;
+  for (JobHandle& h : queued) {
+    ASSERT_EQ(h.wait(), kOk);
+    steals += h.result().stats.steals;
+  }
+  // Each finishing root forks its successor onto its own VP's deque,
+  // where the VP pops it; nothing goes through the external queue.
+  EXPECT_EQ(steals, 0u);
+}
+
+TEST(JobServerDispatch, OneRootWaitsForAVpTheRestQueueByClass) {
+  JobServer server(small_server(1));
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  JobSpec blocker;
+  blocker.body = [&](void*) -> void* {
+    started.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+    return nullptr;
+  };
+  JobHandle gate = server.submit(std::move(blocker));
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  std::mutex order_mu;
+  std::vector<int> order;
+  const auto submit = [&](Priority cls, int tag) {
+    JobSpec spec;
+    spec.priority = cls;
+    spec.body = [&order_mu, &order, tag](void*) -> void* {
+      std::lock_guard lock(order_mu);
+      order.push_back(tag);
+      return nullptr;
+    };
+    return server.submit(std::move(spec));
+  };
+  std::vector<JobHandle> handles;
+  handles.push_back(submit(Priority::kNormal, 0));  // forked: waits for the VP
+  handles.push_back(submit(Priority::kNormal, 1));
+  handles.push_back(submit(Priority::kBatch, 2));
+  handles.push_back(submit(Priority::kHigh, 3));
+  // The VP is busy, so only the first job was forked; the rest wait in the
+  // class-ordered pending queue with no max_active set.
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.active, 2u);
+  EXPECT_EQ(s.pending, 3u);
+
+  release.store(true, std::memory_order_release);
+  ASSERT_EQ(gate.wait(), kOk);
+  for (JobHandle& h : handles) ASSERT_EQ(h.wait(), kOk);
+  // Each root forks the next pending job, highest class first, as it
+  // starts: the high job overtakes the earlier normal and batch ones.
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2}));
+}
+
+TEST(JobServerDispatch, RootsTraceUnderTheMainFlowWhateverTheDispatcher) {
+  ServerOptions opts = small_server(1);
+  opts.runtime.trace = true;
+  opts.max_active = 2;
+  JobServer server(std::move(opts));
+
+  // A job that submits another job from its body: with a free slot, the
+  // inner root is forked on the VP, inside the outer root's frame.
+  JobHandle inner;
+  JobSpec outer;
+  outer.body = [&](void*) -> void* {
+    JobSpec spec;
+    spec.body = [](void*) -> void* { return nullptr; };
+    inner = server.submit(std::move(spec));
+    return nullptr;
+  };
+  ASSERT_EQ(server.submit(std::move(outer)).wait(), kOk);
+  ASSERT_TRUE(inner.valid());
+  ASSERT_EQ(inner.wait(), kOk);
+
+  // Jobs queued behind a blocker and the cap: each is forked by the
+  // finishing root of one before it.
+  std::atomic<bool> flag{false};
+  JobSpec blocker;
+  blocker.body = wait_for_flag;
+  blocker.input = &flag;
+  JobHandle blocked = server.submit(std::move(blocker));
+  std::vector<JobHandle> chained;
+  for (int i = 0; i < 4; ++i) {
+    JobSpec spec;
+    spec.body = [](void*) -> void* { return nullptr; };
+    chained.push_back(server.submit(std::move(spec)));
+  }
+  flag.store(true, std::memory_order_release);
+  server.drain();
+  ASSERT_EQ(blocked.wait(), kOk);
+  for (JobHandle& h : chained) ASSERT_EQ(h.wait(), kOk);
+
+  // A job's root is its first traced task: it must hang off T0 at level 1.
+  std::map<std::uint64_t, TraceNode> roots;
+  for (const TraceNode& n : server.runtime().trace().nodes()) {
+    if (n.job == 0) continue;
+    auto [it, fresh] = roots.emplace(n.job, n);
+    if (!fresh && n.id < it->second.id) it->second = n;
+  }
+  ASSERT_EQ(roots.size(), 7u);
+  for (const auto& [job, root] : roots) {
+    EXPECT_EQ(root.parent, kRootTaskId) << "job " << job;
+    EXPECT_EQ(root.level, 1u) << "job " << job;
+  }
+  EXPECT_TRUE(lint_trace(server.runtime().trace()).empty());
 }
 
 }  // namespace

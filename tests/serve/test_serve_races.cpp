@@ -182,10 +182,11 @@ TEST(ServeRaces, DestructionUnderFireResolvesAllHandles) {
 // drain()'s idle predicate true, but the doomed-jobs path never notified
 // idle_cv_ — a drain parked with active_ already empty hung forever. The
 // stable pending-but-not-active state is a deferred batch job (docs/
-// REJUV.md): a 1-byte budget keeps batch scored over, so the dispatcher
-// holds the job instead of dispatching it. Iterated because the buggy
-// interleaving needs drain to park before the dispatcher's deferral tick
-// notices draining_; under the fix every iteration completes promptly.
+// REJUV.md): a 1-byte budget keeps batch scored over, so the server
+// holds the job instead of dispatching it. drain() now releases holds
+// itself before it parks, so the race is drain's release against
+// shutdown's abort of the same held job; iterated, and under the fix
+// every iteration completes promptly.
 TEST(ServeRaces, ShutdownWakesDrainParkedOnHeldWork) {
   for (int iter = 0; iter < 20; ++iter) {
     ServerOptions opts;
@@ -215,7 +216,7 @@ TEST(ServeRaces, ShutdownWakesDrainParkedOnHeldWork) {
 
 TEST(ServeRaces, HighPriorityOvertakesBatchUnderSaturation) {
   // One active slot + one VP: the pending queue is the contention point.
-  // Fill it with batch work, then submit high; the dispatcher must pick
+  // Fill it with batch work, then submit high; dispatch must pick
   // the high job next even though every batch job arrived first.
   ServerOptions opts;
   opts.runtime.num_vps = 1;
