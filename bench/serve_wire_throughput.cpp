@@ -1,28 +1,20 @@
-// Benchmark: the serve wire path — blocking one-call-at-a-time clients
-// vs the batched epoll transport with multiplexed async clients
-// (docs/WIRE.md).
+// Benchmark: the serve wire path — synchronous vs multiplexed async
+// clients on the batched epoll transport (docs/WIRE.md).
 //
-// Three legs, one server (JobServer + ServeFrontEnd on node 0), same
+// Two legs, one server (JobServer + ServeFrontEnd on node 0), same
 // registered spin job and the same client count throughout:
 //
-//  1. blocking    — TCP fabric of blocking TcpEndpoints, one
-//     AsyncServeClient per client node used synchronously (window of 1).
-//     One request in flight per client: the transport the serve stack
-//     shipped on before the event loop, and the latency yardstick.
-//  2. epoll_sync  — the same clients and window on the epoll fabric. It
-//     differs from leg 1 only in the transport, which isolates the
-//     reactor's latency: its p99 must not regress the blocking baseline
-//     at matched concurrency.
-//  3. epoll_async — the same async clients each keeping a window of
+//  1. epoll_sync  — one AsyncServeClient per client node used
+//     synchronously (window of 1). One request in flight per client: the
+//     latency yardstick, free of queueing behind the client's own window.
+//  2. epoll_async — the same async clients each keeping a window of
 //     requests in flight. Requests coalesce into writev batches on the
 //     shared sockets; this is the throughput headline, reported with
 //     p50/p99 *under saturation* and the achieved wire batching factor.
 //
 // Emits machine-readable results to BENCH_wire.json (override with
-// --out=...), including jobs/s for every leg, the speedup of the async
-// leg over the blocking leg, and the speedup over the in-process
-// BENCH_serve.json 8-client sustained-load figure (4773 jobs/s with
-// 200us bodies) that motivated the wire rework.
+// --out=...): jobs/s and latency percentiles of both legs, per-class
+// latency, and the async leg's wire counters.
 //
 // Flags: --clients=C (default 8)  --jobs=J per client (default 2000)
 //        --window=W in-flight per async client (default 32)
@@ -48,11 +40,6 @@
 namespace {
 
 constexpr int kVps = 4;
-
-/// The in-process sustained-load figures from BENCH_serve.json ("load":
-/// 8 client threads, 200us bodies) this rework is measured against.
-constexpr double kServeBaselineJobsPerSec = 4773.0;
-constexpr double kServeBaselineHighP99Ms = 33.088;
 
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -103,7 +90,7 @@ struct LegResult {
   double p99_ms = 0;
   double mean_ms = 0;
   std::vector<ClassLatency> classes;
-  cluster::WireCounters wire;  // summed over all endpoints (epoll legs)
+  cluster::WireCounters wire;  // summed over all endpoints
 };
 
 /// Folds per-job (class, latency) samples into the leg's aggregate and
@@ -138,9 +125,8 @@ cluster::WireCounters sum_wire(
     const std::vector<std::unique_ptr<cluster::Transport>>& fabric) {
   cluster::WireCounters sum;
   for (const auto& t : fabric) {
-    const auto* src = dynamic_cast<const cluster::WireStatsSource*>(t.get());
-    if (src == nullptr) continue;
-    const cluster::WireCounters c = src->wire_counters();
+    const cluster::WireCounters c =
+        dynamic_cast<const cluster::WireStatsSource&>(*t).wire_counters();
     sum.writev_calls += c.writev_calls;
     sum.tx_frames += c.tx_frames;
     sum.tx_bytes += c.tx_bytes;
@@ -246,8 +232,8 @@ void print_wire(const cluster::WireCounters& w) {
 }
 
 void write_json(const std::string& path, int clients, int jobs, int window,
-                int spin_us, const LegResult& blocking,
-                const LegResult& epoll_sync, const LegResult& epoll_async) {
+                int spin_us, const LegResult& epoll_sync,
+                const LegResult& epoll_async) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) die("cannot write output file");
   const cluster::WireCounters& w = epoll_async.wire;
@@ -268,8 +254,13 @@ void write_json(const std::string& path, int clients, int jobs, int window,
                "  \"clients\": %d, \"jobs_per_client\": %d, "
                "\"window\": %d, \"spin_us\": %d,\n",
                clients, jobs, window, spin_us);
-  auto classes_json = [f](const LegResult& r) {
-    std::fprintf(f, "\"latency_ms\": [");
+  // Opens the leg's object and writes its figures; the caller closes it.
+  auto leg = [f](const char* name, const LegResult& r) {
+    std::fprintf(f,
+                 "  \"%s\": {\"jobs_per_sec\": %.0f, \"p50_ms\": %.3f, "
+                 "\"p99_ms\": %.3f, \"mean_ms\": %.3f,\n    "
+                 "\"latency_ms\": [",
+                 name, r.jobs_per_sec, r.p50_ms, r.p99_ms, r.mean_ms);
     for (std::size_t i = 0; i < r.classes.size(); ++i) {
       const ClassLatency& c = r.classes[i];
       std::fprintf(f,
@@ -280,23 +271,9 @@ void write_json(const std::string& path, int clients, int jobs, int window,
     }
     std::fprintf(f, "]");
   };
-  auto leg = [f, &classes_json](const char* name, const LegResult& r) {
-    std::fprintf(f,
-                 "  \"%s\": {\"jobs_per_sec\": %.0f, \"p50_ms\": %.3f, "
-                 "\"p99_ms\": %.3f, \"mean_ms\": %.3f,\n    ",
-                 name, r.jobs_per_sec, r.p50_ms, r.p99_ms, r.mean_ms);
-    classes_json(r);
-    std::fprintf(f, "},\n");
-  };
-  leg("blocking", blocking);
   leg("epoll_sync", epoll_sync);
-  std::fprintf(
-      f,
-      "  \"epoll_async\": {\"jobs_per_sec\": %.0f, \"p50_ms\": %.3f, "
-      "\"p99_ms\": %.3f, \"mean_ms\": %.3f,\n    ",
-      epoll_async.jobs_per_sec, epoll_async.p50_ms, epoll_async.p99_ms,
-      epoll_async.mean_ms);
-  classes_json(epoll_async);
+  std::fprintf(f, "},\n");
+  leg("epoll_async", epoll_async);
   std::fprintf(
       f,
       ",\n    \"wire\": {\"writev_calls\": %llu, \"tx_frames\": %llu, "
@@ -309,17 +286,6 @@ void write_json(const std::string& path, int clients, int jobs, int window,
       bytes_per_writev, static_cast<unsigned long long>(w.tx_partial_writes),
       static_cast<unsigned long long>(w.tx_eagain),
       static_cast<unsigned long long>(w.rx_partial_reads));
-  std::fprintf(f, "  \"speedup_vs_blocking\": %.2f,\n",
-               epoll_async.jobs_per_sec / blocking.jobs_per_sec);
-  std::fprintf(f, "  \"sync_p99_vs_blocking_p99\": %.3f,\n",
-               blocking.p99_ms > 0 ? epoll_sync.p99_ms / blocking.p99_ms
-                                   : 0);
-  std::fprintf(f, "  \"serve_baseline_jobs_per_sec\": %.0f,\n",
-               kServeBaselineJobsPerSec);
-  std::fprintf(f, "  \"speedup_vs_serve_baseline\": %.2f,\n",
-               epoll_async.jobs_per_sec / kServeBaselineJobsPerSec);
-  std::fprintf(f, "  \"serve_baseline_high_p99_ms\": %.3f,\n",
-               kServeBaselineHighP99Ms);
   std::fprintf(f, "  \"async_high_p99_ms\": %.3f\n",
                epoll_async.classes[0].p99);
   std::fprintf(f, "}\n");
@@ -341,11 +307,6 @@ int main(int argc, char** argv) {
               "async window %d, %d VPs\n",
               clients, jobs, spin_us, window, kVps);
 
-  const LegResult blocking =
-      run_leg(cluster::make_tcp_fabric(clients + 1), clients, jobs, 1);
-  std::printf("blocking    : %9.0f jobs/s  p50 %.3fms  p99 %.3fms\n",
-              blocking.jobs_per_sec, blocking.p50_ms, blocking.p99_ms);
-
   const LegResult epoll_sync =
       run_leg(cluster::make_epoll_fabric(clients + 1), clients, jobs, 1);
   std::printf("epoll sync  : %9.0f jobs/s  p50 %.3fms  p99 %.3fms\n",
@@ -366,16 +327,7 @@ int main(int argc, char** argv) {
   std::printf("async leg per-class latency under saturation:\n%s\n",
               table.to_text().c_str());
 
-  std::printf("speedup: %.1fx vs blocking, %.1fx vs the BENCH_serve "
-              "in-process 8-client figure (%.0f jobs/s); high-class p99 "
-              "%.3fms vs %.3fms baseline\n",
-              epoll_async.jobs_per_sec / blocking.jobs_per_sec,
-              epoll_async.jobs_per_sec / kServeBaselineJobsPerSec,
-              kServeBaselineJobsPerSec, epoll_async.classes[0].p99,
-              kServeBaselineHighP99Ms);
-
-  write_json(out, clients, jobs, window, spin_us, blocking, epoll_sync,
-             epoll_async);
+  write_json(out, clients, jobs, window, spin_us, epoll_sync, epoll_async);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }

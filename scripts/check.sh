@@ -129,8 +129,8 @@ ANAHY_CHAOS_SEED=0xC0FFEE \
 
 step "wire bench smoke: epoll transport end-to-end, JSON must validate"
 # A scaled-down serve_wire_throughput run (docs/WIRE.md) exercises the
-# whole async wire path — blocking baseline, epoll sync, epoll async with
-# writev coalescing — and its BENCH_wire.json must be valid JSON.
+# whole wire path — epoll sync, then epoll async with writev coalescing —
+# and its BENCH_wire.json must be valid JSON.
 ./build/bench/serve_wire_throughput --clients=4 --jobs=100 --window=8 \
     --out=check_wire.json > /dev/null
 python3 -m json.tool check_wire.json > /dev/null

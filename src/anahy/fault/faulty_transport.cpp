@@ -1,6 +1,7 @@
 #include "anahy/fault/fault.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace anahy::fault {
 namespace {
@@ -37,6 +38,10 @@ FaultyTransport::FaultyTransport(std::unique_ptr<cluster::Transport> inner,
 FaultyTransport::~FaultyTransport() = default;
 
 void FaultyTransport::send(int dst, std::vector<std::uint8_t> frame) {
+  // Refused here, on the caller's send: a held-back frame reaches the
+  // inner transport from a later send() or recv().
+  if (dst < 0 || dst >= inner_->node_count())
+    throw std::runtime_error("no such node in the fabric");
   std::vector<std::pair<int, std::vector<std::uint8_t>>> deliver;
   {
     std::lock_guard lock(mu_);

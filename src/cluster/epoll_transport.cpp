@@ -16,7 +16,6 @@
 
 #include "cluster/event_loop.hpp"
 #include "cluster/stream_decoder.hpp"
-#include "cluster/tcp_endpoint.hpp"
 
 namespace cluster {
 
@@ -36,8 +35,6 @@ std::vector<anahy::observe::ExtraCounter> wire_counter_rows(
   };
 }
 
-namespace detail {
-
 namespace {
 
 void set_nonblocking(int fd) {
@@ -46,22 +43,33 @@ void set_nonblocking(int fd) {
     throw std::runtime_error("fcntl(O_NONBLOCK) failed");
 }
 
-}  // namespace
-
-class EpollEndpointImpl {
+class EpollEndpoint final : public Transport, public WireStatsSource {
  public:
-  EpollEndpointImpl(int id, int count, EpollOptions opts)
-      : id_(id), count_(count), opts_(opts) {
+  /// Takes ownership of `fds` (index = peer id, -1 self), flips them
+  /// nonblocking, registers them with the loop and starts the loop thread.
+  EpollEndpoint(int id, std::vector<int> fds, EpollOptions opts)
+      : id_(id), count_(static_cast<int>(fds.size())), opts_(opts) {
     if (opts_.max_frames_per_writev == 0) opts_.max_frames_per_writev = 1;
     opts_.max_frames_per_writev = std::min<std::size_t>(
         opts_.max_frames_per_writev, 256);  // stay far below IOV_MAX
     iov_.resize(2 * opts_.max_frames_per_writev);
-    conns_.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i) conns_.push_back(std::make_unique<Conn>());
     rx_scratch_.resize(64 * 1024);
+    conns_.reserve(fds.size());
+    for (int peer = 0; peer < count_; ++peer) {
+      conns_.push_back(std::make_unique<Conn>());
+      const int fd = fds[static_cast<std::size_t>(peer)];
+      if (fd < 0) continue;  // self / absent link
+      set_nonblocking(fd);
+      Conn& c = *conns_.back();
+      c.fd = fd;
+      c.ever_connected = true;
+      loop_.add_fd(fd, EPOLLIN,
+                   [this, peer](std::uint32_t ev) { on_event(peer, ev); });
+    }
+    loop_.start();
   }
 
-  ~EpollEndpointImpl() {
+  ~EpollEndpoint() override {
     loop_.stop();  // after this the loop thread can no longer touch fds
     for (auto& c : conns_) {
       std::lock_guard lock(c->mu);
@@ -72,23 +80,7 @@ class EpollEndpointImpl {
     }
   }
 
-  void set_peers(std::vector<int> fds) {
-    if (fds.size() != static_cast<std::size_t>(count_))
-      throw std::invalid_argument("peer table size != node count");
-    for (int peer = 0; peer < count_; ++peer) {
-      const int fd = fds[static_cast<std::size_t>(peer)];
-      if (fd < 0) continue;  // self / absent link
-      set_nonblocking(fd);
-      Conn& c = *conns_[static_cast<std::size_t>(peer)];
-      c.fd = fd;
-      c.ever_connected = true;
-      loop_.add_fd(fd, EPOLLIN,
-                   [this, peer](std::uint32_t ev) { on_event(peer, ev); });
-    }
-    loop_.start();
-  }
-
-  void send(int dst, std::vector<std::uint8_t> frame) {
+  void send(int dst, std::vector<std::uint8_t> frame) override {
     if (dst == id_) {
       deliver_one(std::move(frame));
       return;
@@ -122,7 +114,7 @@ class EpollEndpointImpl {
   }
 
   bool recv(std::vector<std::uint8_t>& frame,
-            std::chrono::microseconds timeout) {
+            std::chrono::microseconds timeout) override {
     std::unique_lock lock(inbox_mu_);
     if (!inbox_cv_.wait_for(lock, timeout, [&] { return !inbox_.empty(); }))
       return false;
@@ -131,10 +123,10 @@ class EpollEndpointImpl {
     return true;
   }
 
-  [[nodiscard]] int node_id() const { return id_; }
-  [[nodiscard]] int node_count() const { return count_; }
+  [[nodiscard]] int node_id() const override { return id_; }
+  [[nodiscard]] int node_count() const override { return count_; }
 
-  [[nodiscard]] WireCounters wire_counters() const {
+  [[nodiscard]] WireCounters wire_counters() const override {
     WireCounters c;
     c.writev_calls = writev_calls_.load(std::memory_order_relaxed);
     c.tx_frames = tx_frames_.load(std::memory_order_relaxed);
@@ -390,52 +382,12 @@ class EpollEndpointImpl {
   std::atomic<std::uint64_t> rx_partial_reads_{0};
 };
 
-EpollEndpoint::EpollEndpoint(int id, int count, EpollOptions opts)
-    : impl_(std::make_unique<EpollEndpointImpl>(id, count, opts)) {}
+}  // namespace
 
-EpollEndpoint::~EpollEndpoint() = default;
-
-void EpollEndpoint::set_peers(std::vector<int> fds) {
-  impl_->set_peers(std::move(fds));
-}
-
-void EpollEndpoint::send(int dst, std::vector<std::uint8_t> frame) {
-  impl_->send(dst, std::move(frame));
-}
-
-bool EpollEndpoint::recv(std::vector<std::uint8_t>& frame,
-                         std::chrono::microseconds timeout) {
-  return impl_->recv(frame, timeout);
-}
-
-int EpollEndpoint::node_id() const { return impl_->node_id(); }
-int EpollEndpoint::node_count() const { return impl_->node_count(); }
-
-WireCounters EpollEndpoint::wire_counters() const {
-  return impl_->wire_counters();
-}
-
-std::vector<anahy::observe::ExtraCounter> EpollEndpoint::counter_rows() const {
-  return wire_counter_rows(wire_counters());
-}
-
-}  // namespace detail
-
-std::vector<std::unique_ptr<Transport>> make_epoll_fabric(
-    int n, const EpollOptions& opts) {
-  auto fds = detail::loopback_mesh_fds(n);
-  std::vector<std::unique_ptr<Transport>> endpoints;
-  endpoints.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    auto ep = std::make_unique<detail::EpollEndpoint>(i, n, opts);
-    ep->set_peers(std::move(fds[static_cast<std::size_t>(i)]));
-    endpoints.push_back(std::move(ep));
-  }
-  return endpoints;
-}
-
-std::vector<std::unique_ptr<Transport>> make_epoll_fabric(int n) {
-  return make_epoll_fabric(n, EpollOptions{});
+std::unique_ptr<Transport> detail::make_epoll_endpoint(int id,
+                                                       std::vector<int> fds,
+                                                       EpollOptions opts) {
+  return std::make_unique<EpollEndpoint>(id, std::move(fds), opts);
 }
 
 }  // namespace cluster

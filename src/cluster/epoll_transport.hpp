@@ -1,14 +1,12 @@
-// Event-loop TCP transport: nonblocking sockets on one epoll reactor,
-// per-connection outbound queues coalesced into scatter-gather writev
-// batches, and a streaming decoder that handles any number of coalesced
-// or partial frames per recv (docs/WIRE.md).
+// Event-loop TCP transport, the only one: nonblocking sockets on one
+// epoll reactor, per-connection outbound queues coalesced into
+// scatter-gather writev batches, and a streaming decoder that handles any
+// number of coalesced or partial frames per recv (docs/WIRE.md).
 //
-// This replaces the blocking one-thread-per-connection pumps of
-// TcpEndpoint on the hot serve path: an 8-peer endpoint runs ONE loop
-// thread instead of eight readers, send() never blocks on the socket, and
-// frames queued while the loop is busy leave in a single writev. The wire
-// format (4-byte little-endian length prefix per frame) is unchanged, so
-// epoll and blocking endpoints interoperate on the same stream.
+// An 8-peer endpoint runs ONE loop thread, send() never blocks on the
+// socket, and frames queued while the loop is busy leave in a single
+// writev. Every frame travels as a 4-byte little-endian length prefix and
+// its bytes.
 //
 // Threading: send() from any thread (enqueue + wake); one consumer calls
 // recv(); all socket IO happens on the loop thread. A peer that dies mid-
@@ -68,42 +66,21 @@ class WireStatsSource {
 [[nodiscard]] std::vector<anahy::observe::ExtraCounter> wire_counter_rows(
     const WireCounters& c);
 
-/// Builds an `n`-node loopback mesh like make_tcp_fabric, but every
-/// endpoint is an event-loop EpollEndpoint. Throws std::runtime_error on
-/// socket errors.
+/// Builds an `n`-node loopback mesh of event-loop endpoints, like
+/// make_epoll_fabric(n) with explicit options. Throws std::runtime_error
+/// on socket errors.
 std::vector<std::unique_ptr<Transport>> make_epoll_fabric(
     int n, const EpollOptions& opts);
 
 namespace detail {
 
-class EpollEndpointImpl;
-
-/// Event-loop Transport over a set of per-peer sockets (index = peer id,
-/// -1 self), same ownership shape as TcpEndpoint so the loopback-mesh and
-/// multi-process bootstraps can hand either one the same fd table.
-class EpollEndpoint final : public Transport, public WireStatsSource {
- public:
-  EpollEndpoint(int id, int count, EpollOptions opts = {});
-  ~EpollEndpoint() override;
-
-  /// Takes ownership of the sockets, flips them nonblocking, registers
-  /// them with the loop and starts the loop thread. Call exactly once.
-  void set_peers(std::vector<int> fds);
-
-  void send(int dst, std::vector<std::uint8_t> frame) override;
-  bool recv(std::vector<std::uint8_t>& frame,
-            std::chrono::microseconds timeout) override;
-  [[nodiscard]] int node_id() const override;
-  [[nodiscard]] int node_count() const override;
-
-  [[nodiscard]] WireCounters wire_counters() const override;
-
-  /// wire_counter_rows(wire_counters()) as a member for convenience.
-  [[nodiscard]] std::vector<anahy::observe::ExtraCounter> counter_rows() const;
-
- private:
-  std::unique_ptr<EpollEndpointImpl> impl_;
-};
+/// Node `id`'s event-loop endpoint over its connected sockets:
+/// `fds[peer]` is the socket to `peer`, -1 for self or an absent link, and
+/// the node count is `fds.size()`. Takes ownership of the sockets, flips
+/// them nonblocking and starts the loop thread. The endpoint is also a
+/// WireStatsSource. Used by the TCP bootstraps (tcp_bootstrap.cpp).
+std::unique_ptr<Transport> make_epoll_endpoint(int id, std::vector<int> fds,
+                                               EpollOptions opts = {});
 
 }  // namespace detail
 

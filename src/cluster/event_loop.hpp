@@ -1,11 +1,11 @@
 // A small epoll reactor: one thread, many nonblocking fds, readiness
 // callbacks, and a cross-thread post() queue.
 //
-// This is the engine under EpollEndpoint (docs/WIRE.md). One loop thread
-// replaces the one-reader-thread-per-connection model of the blocking
-// TcpEndpoint: all of an endpoint's sockets are registered here, and the
-// thread sleeps in epoll_wait until any of them (or the wake eventfd) has
-// something to say.
+// This is the engine under the TCP endpoint (epoll_transport.hpp,
+// docs/WIRE.md). One loop thread serves all of an endpoint's sockets
+// instead of a reader thread per connection: every socket is registered
+// here, and the thread sleeps in epoll_wait until any of them (or the wake
+// eventfd) has something to say.
 //
 // Threading contract:
 //  * run()/start() — exactly one thread executes the loop.

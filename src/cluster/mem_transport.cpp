@@ -1,6 +1,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <stdexcept>
 
 #include "cluster/transport.hpp"
 
@@ -20,6 +21,8 @@ class MemoryEndpoint final : public Transport {
       : inboxes_(std::move(inboxes)), id_(id) {}
 
   void send(int dst, std::vector<std::uint8_t> frame) override {
+    if (dst < 0 || dst >= node_count())
+      throw std::runtime_error("no such node in the fabric");
     Inbox& inbox = (*inboxes_)[static_cast<std::size_t>(dst)];
     {
       std::lock_guard lock(inbox.mu);

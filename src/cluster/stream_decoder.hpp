@@ -1,11 +1,10 @@
 // Streaming wire decoder for the length-prefixed frame stream.
 //
 // On the wire every frame travels as a 4-byte little-endian length prefix
-// followed by the frame bytes (the same format the blocking TcpEndpoint
-// speaks, so blocking and event-loop endpoints interoperate). A single
-// recv() may deliver any slice of that stream: half a prefix, two and a
-// half coalesced frames, one giant frame in twenty pieces. StreamDecoder
-// turns that arbitrary chunking back into whole frames:
+// followed by the frame bytes. A single recv() may deliver any slice of
+// that stream: half a prefix, two and a half coalesced frames, one giant
+// frame in twenty pieces. StreamDecoder turns that arbitrary chunking back
+// into whole frames:
 //
 //   decoder.feed(bytes, n);                 // any chunking whatsoever
 //   while (decoder.next(frame)) deliver(frame);

@@ -1,8 +1,9 @@
 // Node-to-node transport abstraction.
 //
 // The paper's architecture-dependent layer uses "MPI or sockets" between
-// nodes. Implementations ship here: an in-memory fabric (fast,
-// deterministic) and real TCP meshes, blocking and event-loop.
+// nodes. Two implementations ship: an in-memory fabric (fast,
+// deterministic) and a real TCP mesh on an epoll event loop
+// (epoll_transport.hpp), set up in-process or across processes.
 #pragma once
 
 #include <chrono>
@@ -21,6 +22,10 @@ class Transport {
   virtual ~Transport() = default;
 
   /// Queues `frame` for delivery to node `dst`. Sending to self is legal.
+  /// Throws std::runtime_error when `dst` is not a node of the fabric
+  /// (outside [0, node_count())) or, on TCP, a peer that was never
+  /// connected. A frame to a connected peer that has since died is lost
+  /// silently.
   virtual void send(int dst, std::vector<std::uint8_t> frame) = 0;
 
   /// Waits up to `timeout` for an incoming frame. Returns false on
@@ -32,9 +37,9 @@ class Transport {
   [[nodiscard]] virtual int node_count() const = 0;
 };
 
-/// Sends without throwing: a severed peer (TCP throws) just loses the
-/// frame, for traffic that a retry, a probe or a deadline recovers.
-/// Returns false when the frame was lost.
+/// Sends without throwing, for traffic that a retry, a probe or a deadline
+/// recovers: a send that would throw (an unknown node, or a peer that was
+/// never connected) just loses the frame. Returns false when it did.
 inline bool send_soft(Transport& transport, int dst,
                       std::vector<std::uint8_t> frame) {
   try {
@@ -51,15 +56,11 @@ inline bool send_soft(Transport& transport, int dst,
 std::vector<std::unique_ptr<Transport>> make_memory_fabric(int n);
 
 /// Builds an `n`-node mesh of real TCP connections over 127.0.0.1, all
-/// endpoints in this process. Throws std::runtime_error on socket errors.
-/// Endpoints are the blocking one-reader-thread-per-peer kind; the hot
-/// serve path prefers make_epoll_fabric (same wire format, event-loop IO).
-std::vector<std::unique_ptr<Transport>> make_tcp_fabric(int n);
-
-/// Builds the same loopback TCP mesh with event-loop endpoints: one epoll
-/// reactor thread per endpoint, nonblocking sockets, outbound frames
-/// coalesced into scatter-gather writev batches, streaming receive
-/// (docs/WIRE.md). An EpollOptions overload lives in epoll_transport.hpp.
+/// endpoints in this process. Each endpoint runs one epoll reactor thread
+/// over nonblocking sockets, coalesces outbound frames into scatter-gather
+/// writev batches and decodes its receive stream (docs/WIRE.md). Throws
+/// std::runtime_error on socket errors. An EpollOptions overload lives in
+/// epoll_transport.hpp.
 std::vector<std::unique_ptr<Transport>> make_epoll_fabric(int n);
 
 /// Multi-process deployment (the paper's actual cluster scenario): the

@@ -2,7 +2,7 @@
 // batches, short-IO resume correctness, wire telemetry, and the
 // multiplexed AsyncServeClient on top (docs/WIRE.md).
 //
-// FabricTest (test_transport.cpp) already proves EpollEndpoint is a
+// FabricTest (test_transport.cpp) already proves the epoll endpoint is a
 // correct Transport. These tests pin the properties that motivated it:
 // frames queued together leave in fewer syscalls, partial reads/writes
 // resume exactly, and many callers can share one endpoint.

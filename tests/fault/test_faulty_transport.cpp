@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "anahy/observe/exposition.hpp"
@@ -131,6 +132,20 @@ TEST(FaultyTransport, DelayedFramesStillArrive) {
   }
   EXPECT_EQ(got, 8u) << "delay reorders, never loses";
   EXPECT_EQ(faulty.stats().delays, 8u);
+}
+
+TEST(FaultyTransport, UnknownNodeIsRefusedOnTheCallersSend) {
+  // With every frame held back, the inner send happens later inside some
+  // other call; a bad destination must still throw from its own send().
+  auto fabric = cluster::make_memory_fabric(2);
+  FaultProfile p;
+  p.delay = 1.0;
+  FaultyTransport faulty(std::move(fabric[0]), p);
+  EXPECT_THROW(faulty.send(2, test_frame(0)), std::runtime_error);
+  EXPECT_THROW(faulty.send(-1, test_frame(1)), std::runtime_error);
+  std::vector<std::uint8_t> unused;
+  EXPECT_FALSE(faulty.recv(unused, 10'000us));
+  EXPECT_EQ(faulty.stats().delays, 0u);
 }
 
 TEST(FaultyTransport, SeverScheduleCutsTheLinkMidRun) {

@@ -234,7 +234,7 @@ TEST(ServeFrontend, StatsQueryBuffersInterleavedJobReplies) {
 }
 
 TEST(ServeFrontend, StatsQueryOverTcpLoopback) {
-  auto fabric = make_tcp_fabric(2);
+  auto fabric = make_epoll_fabric(2);
   Registry reg;
   reg.add("sum_u32", sum_u32);
   anahy::serve::ServerOptions opts;
@@ -585,7 +585,7 @@ TEST(ServeFrontend, FaultedJobCarriesMessageOverMemoryFabric) {
 }
 
 TEST(ServeFrontend, FaultedJobCarriesMessageOverTcp) {
-  auto fabric = make_tcp_fabric(2);
+  auto fabric = make_epoll_fabric(2);
   Registry reg;
   reg.add("throwing_fn", throwing_fn);
   anahy::serve::JobServer server(anahy::serve::ServerOptions{});
@@ -622,6 +622,34 @@ TEST(ServeFrontend, GarbageFramesAreCountedAndSurvived) {
   EXPECT_EQ(frontend.rejected_frames(), 3u);
   EXPECT_EQ(frontend.last_reject_diagnostic().rfind("ANAHY-F00", 0), 0u)
       << frontend.last_reject_diagnostic();
+}
+
+TEST(ServeFrontend, SubmitNamingAnUnknownClientIsSurvived) {
+  // A well-formed frame may name any client id. The front-end answers the
+  // id it was given, so each reply to node 7 on this 2-node fabric must be
+  // a lost send, not a write past the fabric's inboxes.
+  auto fabric = make_memory_fabric(2);
+  Registry reg;
+  reg.add("sum_u32", sum_u32);
+  anahy::serve::JobServer server(anahy::serve::ServerOptions{});
+  ServeFrontEnd frontend(server, *fabric[0], reg);
+
+  fabric[1]->send(0, raw_submit_frame(7, 1, "sum_u32"));     // job reply
+  fabric[1]->send(0, raw_submit_frame(7, 2, "no_such_fn"));  // pump reply
+  fabric[1]->send(0, encode(make_ping(7, 3)));               // pong
+
+  // Frames from one sender arrive in order, so once this client is
+  // answered the pump has already replied to every forged id.
+  AsyncServeClient client(*fabric[1], 0);
+  auto fut = client.submit_async("sum_u32", numbers_payload(10));
+  ASSERT_EQ(fut.wait_for(2s), std::future_status::ready);
+  EXPECT_EQ(result_u32(fut.get()), 55u);
+  EXPECT_EQ(frontend.rejected_frames(), 0u);
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (server.stats().of(anahy::Priority::kNormal).completed < 2 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(server.stats().of(anahy::Priority::kNormal).completed, 2u);
 }
 
 TEST(ServeFrontend, RetiredShutdownFrameIsRejectedNotObeyed) {
@@ -694,7 +722,7 @@ TEST(ServeFrontend, PingedClientThatPongsIsNotReaped) {
 }
 
 TEST(ServeFrontend, MultipleClientsOverTcpLoopback) {
-  auto fabric = make_tcp_fabric(3);  // node 0 serves, nodes 1-2 are clients
+  auto fabric = make_epoll_fabric(3);  // node 0 serves, nodes 1-2 are clients
   Registry reg;
   reg.add("sum_u32", sum_u32);
   anahy::serve::ServerOptions opts;
