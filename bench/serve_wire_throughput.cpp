@@ -12,8 +12,11 @@
 //     shared sockets; this is the throughput headline, reported with
 //     p50/p99 *under saturation* and the achieved wire batching factor.
 //
+// One unmeasured warm-up leg runs first, so neither measured leg pays for
+// the process's cold start; then the two legs alternate for kReps rounds.
 // Emits machine-readable results to BENCH_wire.json (override with
-// --out=...): jobs/s and latency percentiles of both legs, per-class
+// --out=...): per leg, the figures of the run with the median jobs/s and
+// every run's jobs/s, p50 and p99 (the run-to-run spread), per-class
 // latency, and the async leg's wire counters.
 //
 // Flags: --clients=C (default 8)  --jobs=J per client (default 2000)
@@ -40,6 +43,8 @@
 namespace {
 
 constexpr int kVps = 4;
+// Measured runs of each leg: enough for a median and its spread.
+constexpr int kReps = 5;
 
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -231,9 +236,20 @@ void print_wire(const cluster::WireCounters& w) {
               static_cast<unsigned long long>(w.rx_partial_reads));
 }
 
+/// The run with the median jobs/s.
+const LegResult& median_run(const std::vector<LegResult>& runs) {
+  std::vector<const LegResult*> order;
+  for (const LegResult& r : runs) order.push_back(&r);
+  std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
+    return a->jobs_per_sec < b->jobs_per_sec;
+  });
+  return *order[order.size() / 2];
+}
+
 void write_json(const std::string& path, int clients, int jobs, int window,
-                int spin_us, const LegResult& epoll_sync,
-                const LegResult& epoll_async) {
+                int spin_us, const std::vector<LegResult>& sync_runs,
+                const std::vector<LegResult>& async_runs) {
+  const LegResult& epoll_async = median_run(async_runs);
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) die("cannot write output file");
   const cluster::WireCounters& w = epoll_async.wire;
@@ -252,15 +268,30 @@ void write_json(const std::string& path, int clients, int jobs, int window,
                std::thread::hardware_concurrency());
   std::fprintf(f,
                "  \"clients\": %d, \"jobs_per_client\": %d, "
-               "\"window\": %d, \"spin_us\": %d,\n",
-               clients, jobs, window, spin_us);
+               "\"window\": %d, \"spin_us\": %d, \"reps\": %zu,\n",
+               clients, jobs, window, spin_us, sync_runs.size());
+  // Writes one figure of every run as a JSON array.
+  auto runs = [f](const char* name, const std::vector<LegResult>& all,
+                  double LegResult::*field, const char* fmt) {
+    std::fprintf(f, "\"%s\": [", name);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      std::fprintf(f, fmt, all[i].*field);
+      std::fprintf(f, "%s", i + 1 < all.size() ? ", " : "]");
+    }
+  };
   // Opens the leg's object and writes its figures; the caller closes it.
-  auto leg = [f](const char* name, const LegResult& r) {
+  auto leg = [&](const char* name, const std::vector<LegResult>& all) {
+    const LegResult& r = median_run(all);
     std::fprintf(f,
                  "  \"%s\": {\"jobs_per_sec\": %.0f, \"p50_ms\": %.3f, "
-                 "\"p99_ms\": %.3f, \"mean_ms\": %.3f,\n    "
-                 "\"latency_ms\": [",
+                 "\"p99_ms\": %.3f, \"mean_ms\": %.3f,\n    \"runs\": {",
                  name, r.jobs_per_sec, r.p50_ms, r.p99_ms, r.mean_ms);
+    runs("jobs_per_sec", all, &LegResult::jobs_per_sec, "%.0f");
+    std::fprintf(f, ", ");
+    runs("p50_ms", all, &LegResult::p50_ms, "%.3f");
+    std::fprintf(f, ", ");
+    runs("p99_ms", all, &LegResult::p99_ms, "%.3f");
+    std::fprintf(f, "},\n    \"latency_ms\": [");
     for (std::size_t i = 0; i < r.classes.size(); ++i) {
       const ClassLatency& c = r.classes[i];
       std::fprintf(f,
@@ -271,9 +302,9 @@ void write_json(const std::string& path, int clients, int jobs, int window,
     }
     std::fprintf(f, "]");
   };
-  leg("epoll_sync", epoll_sync);
+  leg("epoll_sync", sync_runs);
   std::fprintf(f, "},\n");
-  leg("epoll_async", epoll_async);
+  leg("epoll_async", async_runs);
   std::fprintf(
       f,
       ",\n    \"wire\": {\"writev_calls\": %llu, \"tx_frames\": %llu, "
@@ -304,17 +335,30 @@ int main(int argc, char** argv) {
   g_spin_ns = static_cast<std::int64_t>(spin_us) * 1'000;
 
   std::printf("serve_wire_throughput: %d clients x %d jobs (%dus bodies), "
-              "async window %d, %d VPs\n",
-              clients, jobs, spin_us, window, kVps);
+              "async window %d, %d VPs, %d reps\n",
+              clients, jobs, spin_us, window, kVps, kReps);
 
-  const LegResult epoll_sync =
-      run_leg(cluster::make_epoll_fabric(clients + 1), clients, jobs, 1);
-  std::printf("epoll sync  : %9.0f jobs/s  p50 %.3fms  p99 %.3fms\n",
+  // Unmeasured: whichever leg ran first would otherwise read slower.
+  run_leg(cluster::make_epoll_fabric(clients + 1), clients, jobs, 1);
+  std::vector<LegResult> sync_runs;
+  std::vector<LegResult> async_runs;
+  for (int r = 0; r < kReps; ++r) {
+    sync_runs.push_back(
+        run_leg(cluster::make_epoll_fabric(clients + 1), clients, jobs, 1));
+    async_runs.push_back(run_leg(cluster::make_epoll_fabric(clients + 1),
+                                 clients, jobs, window));
+    std::printf("rep %d: sync %7.0f jobs/s p99 %.3fms | async %7.0f jobs/s "
+                "p99 %.3fms\n",
+                r, sync_runs.back().jobs_per_sec, sync_runs.back().p99_ms,
+                async_runs.back().jobs_per_sec, async_runs.back().p99_ms);
+  }
+  const LegResult& epoll_sync = median_run(sync_runs);
+  const LegResult& epoll_async = median_run(async_runs);
+  std::printf("epoll sync  : %9.0f jobs/s  p50 %.3fms  p99 %.3fms (median "
+              "run)\n",
               epoll_sync.jobs_per_sec, epoll_sync.p50_ms, epoll_sync.p99_ms);
-
-  const LegResult epoll_async =
-      run_leg(cluster::make_epoll_fabric(clients + 1), clients, jobs, window);
-  std::printf("epoll async : %9.0f jobs/s  p50 %.3fms  p99 %.3fms\n",
+  std::printf("epoll async : %9.0f jobs/s  p50 %.3fms  p99 %.3fms (median "
+              "run)\n",
               epoll_async.jobs_per_sec, epoll_async.p50_ms,
               epoll_async.p99_ms);
   print_wire(epoll_async.wire);
@@ -327,7 +371,7 @@ int main(int argc, char** argv) {
   std::printf("async leg per-class latency under saturation:\n%s\n",
               table.to_text().c_str());
 
-  write_json(out, clients, jobs, window, spin_us, epoll_sync, epoll_async);
+  write_json(out, clients, jobs, window, spin_us, sync_runs, async_runs);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }

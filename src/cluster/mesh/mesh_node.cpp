@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "anahy/task_context.hpp"
 
 namespace cluster::mesh {
 
@@ -27,13 +26,11 @@ MeshNode::MeshNode(Transport& transport, const Registry& registry,
   for (std::uint32_t p : opts_.peers) peers.push_back({p, 1.0});
   if (!peers.empty())
     victim_order_ = rendezvous_rank(splitmix64(opts_.self), peers);
-  // The front-end starts its pump in the constructor, so a hook may fire
-  // before frontend_ is assigned: every member the hooks touch must be
-  // live before this line, and the hooks reach the front-end only through
-  // their argument.
   opts_.frontend.mesh = this;
-  frontend_ = std::make_unique<ServeFrontEnd>(*server_, transport, registry,
-                                              opts_.frontend);
+  frontend_ = std::make_unique<FrontEndCore>(*server_, transport, registry,
+                                             opts_.frontend);
+  // Last: the hooks may fire from here on, and the node is whole.
+  frontend_->pump().start();
 }
 
 MeshNode::~MeshNode() { stop(); }
@@ -48,17 +45,8 @@ void MeshNode::stop() {
 }
 
 MeshNodeCounters MeshNode::counters() const {
-  MeshNodeCounters c;
-  c.steal_probes_sent = steal_probes_sent_.load(std::memory_order_relaxed);
-  c.steal_probes_received =
-      steal_probes_received_.load(std::memory_order_relaxed);
-  c.steal_grants = steal_grants_.load(std::memory_order_relaxed);
-  c.jobs_exported = jobs_exported_.load(std::memory_order_relaxed);
-  c.jobs_imported = jobs_imported_.load(std::memory_order_relaxed);
-  c.gossip_tx = gossip_tx_.load(std::memory_order_relaxed);
-  c.gossip_rx = gossip_rx_.load(std::memory_order_relaxed);
-  c.fence_refusals = fence_refusals_.load(std::memory_order_relaxed);
   std::lock_guard lock(mu_);
+  MeshNodeCounters c = counters_;
   c.replica_entries = replica_.size();
   c.migrated_entries = migrated_.size();
   return c;
@@ -77,13 +65,13 @@ void MeshNode::send_to(std::uint32_t dst, const Message& m) {
 
 // ------------------------------------------------------------- frames --
 
-void MeshNode::on_mesh_frame(ServeFrontEnd& frontend, Message msg) {
+void MeshNode::on_mesh_frame(TimePoint now, Message msg) {
   switch (msg.type) {
     case MsgType::kJobSteal:
-      handle_steal(msg.job_steal);
+      handle_steal(now, msg.job_steal);
       break;
     case MsgType::kJobMigrate:
-      handle_migrate(frontend, std::move(msg.job_migrate));
+      handle_migrate(std::move(msg.job_migrate));
       break;
     case MsgType::kMeshGossip:
       handle_gossip(std::move(msg.gossip));
@@ -93,8 +81,7 @@ void MeshNode::on_mesh_frame(ServeFrontEnd& frontend, Message msg) {
   }
 }
 
-void MeshNode::handle_steal(const JobStealMsg& msg) {
-  steal_probes_received_.fetch_add(1, std::memory_order_relaxed);
+void MeshNode::handle_steal(TimePoint now, const JobStealMsg& msg) {
   const auto cls =
       msg.priority < anahy::kNumPriorities
           ? static_cast<anahy::Priority>(msg.priority)
@@ -123,16 +110,17 @@ void MeshNode::handle_steal(const JobStealMsg& msg) {
     }
   }
 
-  std::size_t exported = 0;
   if (budget > 0) {
     // Never migrate a job that has already waited past max_defer_ns: the
     // network hop would land on top of a wait that already blew the
     // latency budget (docs/REJUV.md uses the same cutoff for deferral).
-    const std::int64_t now = anahy::TaskContext::now_ns();
+    // Job::submit_ns() is steady-clock nanoseconds, the scale of `now`.
+    const std::int64_t now_ns =
+        std::chrono::nanoseconds(now.time_since_epoch()).count();
     const std::int64_t max_defer = opts_.max_defer_ns;
-    exported = server_->export_queued(
-        cls, budget, [now, max_defer](const anahy::serve::Job& j) {
-          return max_defer <= 0 || now - j.submit_ns() < max_defer;
+    server_->export_queued(
+        cls, budget, [now_ns, max_defer](const anahy::serve::Job& j) {
+          return max_defer <= 0 || now_ns - j.submit_ns() < max_defer;
         });
   }
 
@@ -146,6 +134,9 @@ void MeshNode::handle_steal(const JobStealMsg& msg) {
     std::lock_guard lock(mu_);
     grant.jobs = std::move(export_staged_);
     export_staged_.clear();
+    ++counters_.steal_probes_received;
+    counters_.jobs_exported += grant.jobs.size();
+    if (!grant.jobs.empty()) ++counters_.steal_grants;
     for (const JobSubmitMsg& j : grant.jobs) {
       const Key key{j.client, j.request_id};
       if (migrated_.insert(key).second) migrated_order_.push_back(key);
@@ -155,10 +146,6 @@ void MeshNode::handle_steal(const JobStealMsg& msg) {
       }
     }
   }
-  (void)exported;
-  jobs_exported_.fetch_add(grant.jobs.size(), std::memory_order_relaxed);
-  if (!grant.jobs.empty())
-    steal_grants_.fetch_add(1, std::memory_order_relaxed);
   // Always answer, even with zero jobs: the thief bounds outstanding
   // probes by counting grants, not by timers.
   Message m;
@@ -167,13 +154,16 @@ void MeshNode::handle_steal(const JobStealMsg& msg) {
   send_to(msg.thief, m);
 }
 
-void MeshNode::handle_migrate(ServeFrontEnd& frontend, JobMigrateMsg msg) {
+void MeshNode::handle_migrate(JobMigrateMsg msg) {
+  {
+    std::lock_guard lock(mu_);
+    counters_.jobs_imported += msg.jobs.size();
+  }
   for (JobSubmitMsg& job : msg.jobs) {
-    jobs_imported_.fetch_add(1, std::memory_order_relaxed);
     // Same dedup, fence and reply path as a fresh wire submit — the
     // original (client, request_id) rides along, so the submitting
     // router sees exactly one reply no matter where the job ran.
-    frontend.inject_submit(std::move(job));
+    frontend_->inject_submit(std::move(job));
   }
 }
 
@@ -181,7 +171,7 @@ void MeshNode::handle_gossip(MeshGossipMsg msg) {
   std::lock_guard lock(mu_);
   for (MeshGossipEntry& e : msg.entries) {
     const Key key{e.client, e.request_id};
-    gossip_rx_.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.gossip_rx;
     // The peer's completion supersedes our suppression: if we exported
     // this key, its outcome has now arrived and retries can be answered
     // from the replica.
@@ -216,18 +206,19 @@ MeshHooks::SubmitIntercept MeshNode::intercept_submit(
   return SubmitIntercept::kProceed;
 }
 
-bool MeshNode::allow_start(const ServeFrontEnd& frontend,
-                           std::uint32_t client, std::uint64_t request_id) {
+bool MeshNode::allow_start(std::uint32_t client, std::uint64_t request_id) {
+  const auto refuse = [this] {
+    std::lock_guard lock(mu_);
+    ++counters_.fence_refusals;
+    return false;
+  };
   if (opts_.fence_us > 0) {
-    const std::int64_t age = frontend.last_seen_age_us(client);
+    const std::int64_t age = frontend_->last_seen_age_us(client, Clock::now());
     // age < 0 = never heard from the client here — a migrated job whose
     // router has not talked to this node yet. Let it run: the router
     // only re-routes keys it reaped from a node it *stopped* hearing
     // from, and it marks those; an unknown-age start is not one of them.
-    if (age > opts_.fence_us) {
-      fence_refusals_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+    if (age > opts_.fence_us) return refuse();
   }
   if (is_router(client)) {
     // Start-mark: entitles the router to re-route only unmarked keys
@@ -239,8 +230,7 @@ bool MeshNode::allow_start(const ServeFrontEnd& frontend,
     } catch (...) {
       // Cannot prove the start to a severed router — withdrawing is the
       // only safe option (the router may re-route this key any moment).
-      fence_refusals_.fetch_add(1, std::memory_order_relaxed);
-      return false;
+      return refuse();
     }
   }
   return true;
@@ -254,8 +244,7 @@ void MeshNode::on_done(std::uint32_t client, std::uint64_t request_id,
     std::lock_guard lock(mu_);
     gossip_staged_.push_back({client, request_id, frame});
     if (gossip_staged_.size() < opts_.gossip_batch) return;
-    flush = std::move(gossip_staged_);
-    gossip_staged_.clear();
+    flush = take_gossip_locked();
   }
   flush_gossip(flush);
 }
@@ -265,15 +254,12 @@ void MeshNode::on_export(JobSubmitMsg job) {
   export_staged_.push_back(std::move(job));
 }
 
-void MeshNode::on_tick() {
+void MeshNode::on_tick(TimePoint /*now*/) {
   // Ship whatever gossip the eager path has not flushed yet.
   std::vector<MeshGossipEntry> flush;
   {
     std::lock_guard lock(mu_);
-    if (!gossip_staged_.empty()) {
-      flush = std::move(gossip_staged_);
-      gossip_staged_.clear();
-    }
+    flush = take_gossip_locked();
   }
   if (!flush.empty()) flush_gossip(flush);
 
@@ -293,14 +279,20 @@ void MeshNode::on_tick() {
   // alternate with normal so a batch-free victim still sheds load.
   const std::uint8_t cls = next_steal_class_;
   next_steal_class_ = next_steal_class_ == 2 ? 1 : 2;
-  steal_probes_sent_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard lock(mu_);
+    ++counters_.steal_probes_sent;
+  }
   send_to(victim, make_job_steal(opts_.self, ++steal_token_, cls,
                                  opts_.max_export_per_grant));
 }
 
+std::vector<MeshGossipEntry> MeshNode::take_gossip_locked() {
+  counters_.gossip_tx += gossip_staged_.size() * opts_.peers.size();
+  return std::exchange(gossip_staged_, {});
+}
+
 void MeshNode::flush_gossip(std::vector<MeshGossipEntry>& staged) {
-  gossip_tx_.fetch_add(staged.size() * opts_.peers.size(),
-                       std::memory_order_relaxed);
   Message m = make_mesh_gossip(opts_.self, std::move(staged));
   for (std::uint32_t p : opts_.peers) send_to(p, m);
 }

@@ -26,10 +26,12 @@
 //    the body, which is what entitles the router to re-route *unmarked*
 //    keys of a reaped node immediately.
 //
-// Threading: on_mesh_frame/on_tick run on the front-end pump thread;
+// Threading: the node drives its front-end core with the one FramePump
+// it starts last in its constructor, so no frame reaches a hook before the
+// node is whole. on_mesh_frame/on_tick run on that pump thread;
 // intercept_submit/on_done run under the front-end's link lock (leaf work
 // only — the node's own mutex nests inside, never the other way around);
-// allow_start runs on a worker VP.
+// allow_start runs on a worker VP and reads the clock for the fence.
 #pragma once
 
 #include <atomic>
@@ -137,9 +139,9 @@ struct MeshNodeCounters {
 
 class MeshNode final : public MeshHooks {
  public:
-  /// Starts the node: constructs the JobServer, then the ServeFrontEnd
-  /// with this object installed as its mesh hook. `transport` and
-  /// `registry` must outlive the node.
+  /// Starts the node: constructs the JobServer, then the front-end core
+  /// with this object installed as its mesh hook, and starts the core's
+  /// pump last. `transport` and `registry` must outlive the node.
   MeshNode(Transport& transport, const Registry& registry,
            MeshNodeOptions opts);
   ~MeshNode() override;
@@ -153,18 +155,17 @@ class MeshNode final : public MeshHooks {
   void stop();
 
   [[nodiscard]] anahy::serve::JobServer& server() { return *server_; }
-  [[nodiscard]] ServeFrontEnd& frontend() { return *frontend_; }
+  [[nodiscard]] FrontEndCore& frontend() { return *frontend_; }
   [[nodiscard]] const MeshNodeOptions& options() const { return opts_; }
   [[nodiscard]] MeshNodeCounters counters() const;
 
   // MeshHooks ------------------------------------------------------------
-  void on_mesh_frame(ServeFrontEnd& frontend, Message msg) override;
-  void on_tick() override;
+  void on_mesh_frame(TimePoint now, Message msg) override;
+  void on_tick(TimePoint now) override;
   SubmitIntercept intercept_submit(std::uint32_t client,
                                    std::uint64_t request_id,
                                    std::vector<std::uint8_t>& replay) override;
-  bool allow_start(const ServeFrontEnd& frontend, std::uint32_t client,
-                   std::uint64_t request_id) override;
+  bool allow_start(std::uint32_t client, std::uint64_t request_id) override;
   void on_done(std::uint32_t client, std::uint64_t request_id,
                const std::vector<std::uint8_t>& frame) override;
   void on_export(JobSubmitMsg job) override;
@@ -173,10 +174,11 @@ class MeshNode final : public MeshHooks {
  private:
   using Key = std::pair<std::uint32_t, std::uint64_t>;
 
-  void handle_steal(const JobStealMsg& msg);      // pump thread
-  void handle_migrate(ServeFrontEnd& frontend,
-                      JobMigrateMsg msg);         // pump thread
-  void handle_gossip(MeshGossipMsg msg);          // pump thread
+  void handle_steal(TimePoint now, const JobStealMsg& msg);  // pump thread
+  void handle_migrate(JobMigrateMsg msg);                    // pump thread
+  void handle_gossip(MeshGossipMsg msg);                     // pump thread
+  /// Empties the gossip stage, counting the entries it sends to peers.
+  std::vector<MeshGossipEntry> take_gossip_locked();
   void flush_gossip(std::vector<MeshGossipEntry>& staged);
   void send_to(std::uint32_t dst, const Message& m);
   [[nodiscard]] bool is_router(std::uint32_t client) const;
@@ -184,7 +186,7 @@ class MeshNode final : public MeshHooks {
   Transport& transport_;
   MeshNodeOptions opts_;
   std::unique_ptr<anahy::serve::JobServer> server_;
-  std::unique_ptr<ServeFrontEnd> frontend_;
+  std::unique_ptr<FrontEndCore> frontend_;
   std::atomic<bool> stopped_{false};
 
   /// Guards the mesh maps below. Leaf lock: acquired inside the
@@ -205,15 +207,7 @@ class MeshNode final : public MeshHooks {
   std::uint8_t next_steal_class_ = 2;  ///< alternates batch/normal
   std::vector<std::size_t> victim_order_;  ///< locality-ranked peer indices
 
-  // Counters (atomics: bumped from pump, link-locked and VP contexts).
-  std::atomic<std::uint64_t> steal_probes_sent_{0};
-  std::atomic<std::uint64_t> steal_probes_received_{0};
-  std::atomic<std::uint64_t> steal_grants_{0};
-  std::atomic<std::uint64_t> jobs_exported_{0};
-  std::atomic<std::uint64_t> jobs_imported_{0};
-  std::atomic<std::uint64_t> gossip_tx_{0};
-  std::atomic<std::uint64_t> gossip_rx_{0};
-  std::atomic<std::uint64_t> fence_refusals_{0};
+  MeshNodeCounters counters_;  ///< under mu_; the gauges are filled on read
 };
 
 }  // namespace cluster::mesh

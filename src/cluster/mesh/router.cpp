@@ -8,50 +8,37 @@
 
 namespace cluster::mesh {
 
-MeshRouter::MeshRouter(Transport& transport, MeshRouterOptions opts)
-    : transport_(transport), opts_(std::move(opts)),
-      self_(static_cast<std::uint32_t>(transport.node_id())),
-      table_(self_) {
-  const auto now = Clock::now();
-  for (std::uint32_t n : opts_.nodes) {
-    NodeState s;
-    s.alive = true;
-    // A node starts with a full silence budget; the first health poll
-    // goes out on the first service pass.
-    s.last_seen = now;
-    s.last_poll = now - opts_.health_interval;
-    nodes_.emplace(n, s);
-  }
-  pump_ = std::thread([this] { pump(); });
+RouterCore::RouterCore(Transport& transport, MeshRouterOptions opts)
+    : FrameRole(transport, std::chrono::microseconds{0}),
+      transport_(transport), opts_(std::move(opts)),
+      self_(static_cast<std::uint32_t>(transport.node_id())), table_(self_) {
+  for (std::uint32_t n : opts_.nodes) nodes_.emplace(n, NodeState{});
 }
 
-MeshRouter::~MeshRouter() { stop(); }
+RouterCore::~RouterCore() { stop(); }
 
-void MeshRouter::stop() {
-  if (stop_.exchange(true)) return;
-  if (pump_.joinable()) pump_.join();
+void RouterCore::stop() {
+  pump().stop();
   // Resolve every outstanding handle: wait() must never hang on a router
   // that has been stopped under it. Later submits and control calls see
-  // stop_ under mu_ and resolve at once.
+  // stopped_ and resolve at once.
   std::lock_guard lock(mu_);
+  if (stopped_) return;
+  stopped_ = true;
   for (auto& [rid, r] : table_.take_all()) expire_locked(rid, r);
 }
 
-RouterCounters MeshRouter::counters() const {
+RouterCounters RouterCore::counters() const {
   RouterCounters c;
-  c.submitted = submitted_.load(std::memory_order_relaxed);
-  c.replies = replies_.load(std::memory_order_relaxed);
-  c.reroutes = reroutes_.load(std::memory_order_relaxed);
-  c.reaps = reaps_.load(std::memory_order_relaxed);
-  c.heals = heals_.load(std::memory_order_relaxed);
-  c.withdrawals = withdrawals_.load(std::memory_order_relaxed);
-  c.started_marks = started_marks_.load(std::memory_order_relaxed);
-  c.retries = retries_.load(std::memory_order_relaxed);
-  c.unreachable = unreachable_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard lock(mu_);
+    c = counters_;
+  }
+  c.rejected_frames = rejected_frames();
   return c;
 }
 
-std::vector<std::uint32_t> MeshRouter::live_nodes() const {
+std::vector<std::uint32_t> RouterCore::live_nodes() const {
   std::vector<std::uint32_t> out;
   std::lock_guard lock(mu_);
   for (const auto& [n, s] : nodes_)
@@ -59,21 +46,20 @@ std::vector<std::uint32_t> MeshRouter::live_nodes() const {
   return out;
 }
 
-NodeHealth MeshRouter::health(std::uint32_t node_rank) const {
+NodeHealth RouterCore::health(std::uint32_t node_rank) const {
   std::lock_guard lock(mu_);
   auto it = nodes_.find(node_rank);
   return it == nodes_.end() ? NodeHealth{} : it->second.health;
 }
 
-void MeshRouter::expire_locked(std::uint64_t rid, const Route& r) {
+void RouterCore::expire_locked(std::uint64_t rid, const Route& r) {
   if (r.kind == Route::Kind::kPoll) return;  // nobody waits on a poll
-  if (r.kind == Route::Kind::kJob)
-    unreachable_.fetch_add(1, std::memory_order_relaxed);
+  if (r.kind == Route::Kind::kJob) ++counters_.unreachable;
   resolved_[rid].error = anahy::kUnreachable;
   cv_.notify_all();
 }
 
-MeshRouter::Reply MeshRouter::collect(std::unique_lock<std::mutex>& lock,
+RouterCore::Reply RouterCore::collect(std::unique_lock<std::mutex>& lock,
                                       std::uint64_t rid) {
   cv_.wait(lock, [&] { return !table_.contains(rid); });
   auto node = resolved_.extract(rid);
@@ -85,7 +71,7 @@ MeshRouter::Reply MeshRouter::collect(std::unique_lock<std::mutex>& lock,
 
 // -------------------------------------------------------------- submit --
 
-std::uint32_t MeshRouter::pick_locked(std::uint64_t key, std::uint8_t cls,
+std::uint32_t RouterCore::pick_locked(std::uint64_t key, std::uint8_t cls,
                                       const std::set<std::uint32_t>& ex) {
   const auto pr = cls < anahy::kNumPriorities
                       ? static_cast<anahy::Priority>(cls)
@@ -100,8 +86,7 @@ std::uint32_t MeshRouter::pick_locked(std::uint64_t key, std::uint8_t cls,
   return live[rendezvous_pick(key, live)].node;
 }
 
-void MeshRouter::route_locked(std::uint64_t rid, Route& r,
-                              Clock::time_point now) {
+void RouterCore::route_locked(std::uint64_t rid, Route& r, TimePoint now) {
   const std::uint32_t node = pick_locked(r.key, r.cls, r.excluded);
   if (node == kNoNode) {
     // Every candidate dead or excluded: park. A heal re-runs this, so the
@@ -110,22 +95,20 @@ void MeshRouter::route_locked(std::uint64_t rid, Route& r,
     r.node = kNoNode;
     return;
   }
-  if (r.node != kNoNode && r.node != node)
-    reroutes_.fetch_add(1, std::memory_order_relaxed);
+  if (r.node != kNoNode && r.node != node) ++counters_.reroutes;
   r.node = node;
   r.started = false;
   send_soft(transport_, node, table_.rearm(rid, now));
 }
 
-std::uint64_t MeshRouter::submit(const std::string& function,
+std::uint64_t RouterCore::submit(const std::string& function,
                                  std::vector<std::uint8_t> payload,
-                                 RouterSubmitOptions o) {
-  const auto now = Clock::now();
+                                 RouterSubmitOptions o, TimePoint now) {
   std::lock_guard lock(mu_);
   const std::uint64_t rid = ++next_rid_;
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  ++counters_.submitted;
   Route r;
-  if (stop_.load()) {
+  if (stopped_) {
     expire_locked(rid, r);  // no pump left to route or expire it
     return rid;
   }
@@ -144,22 +127,22 @@ std::uint64_t MeshRouter::submit(const std::string& function,
   return rid;
 }
 
-MeshRouter::Reply MeshRouter::wait(std::uint64_t id) {
+RouterCore::Reply RouterCore::wait(std::uint64_t id) {
   std::unique_lock lock(mu_);
   return collect(lock, id);
 }
 
-bool MeshRouter::done(std::uint64_t id) {
+bool RouterCore::done(std::uint64_t id) {
   std::lock_guard lock(mu_);
   return !table_.contains(id);
 }
 
 // ------------------------------------------------------------- control --
 
-std::uint64_t MeshRouter::query_locked(std::uint32_t node, Route::Kind kind,
+std::uint64_t RouterCore::query_locked(std::uint32_t node, Route::Kind kind,
                                        bool rejuvenate,
                                        std::chrono::microseconds timeout,
-                                       Clock::time_point now) {
+                                       TimePoint now) {
   const std::uint64_t rid = ++next_rid_;
   std::vector<std::uint8_t> frame =
       encode(rejuvenate ? make_rejuvenate(self_, rid, kRejuvTargetSelf)
@@ -175,69 +158,63 @@ std::uint64_t MeshRouter::query_locked(std::uint32_t node, Route::Kind kind,
   return rid;
 }
 
-std::string MeshRouter::control_call(std::uint32_t node_rank, bool rejuvenate,
-                                     std::chrono::microseconds timeout) {
+std::string RouterCore::control_call(std::uint32_t node_rank, bool rejuvenate,
+                                     std::chrono::microseconds timeout,
+                                     TimePoint now) {
   std::unique_lock lock(mu_);
-  if (stop_.load()) return {};  // no pump left to answer or expire it
+  if (stopped_) return {};  // no pump left to answer or expire it
   const std::uint64_t rid = query_locked(node_rank, Route::Kind::kControl,
-                                         rejuvenate, timeout, Clock::now());
+                                         rejuvenate, timeout, now);
   return collect(lock, rid).text();
 }
 
-std::string MeshRouter::rejuvenate(std::uint32_t node_rank,
-                                   std::chrono::microseconds timeout) {
-  return control_call(node_rank, /*rejuvenate=*/true, timeout);
+std::string RouterCore::rejuvenate(std::uint32_t node_rank,
+                                   std::chrono::microseconds timeout,
+                                   TimePoint now) {
+  return control_call(node_rank, /*rejuvenate=*/true, timeout, now);
 }
 
-std::string MeshRouter::stats_text(std::uint32_t node_rank,
-                                   std::chrono::microseconds timeout) {
-  return control_call(node_rank, /*rejuvenate=*/false, timeout);
+std::string RouterCore::stats_text(std::uint32_t node_rank,
+                                   std::chrono::microseconds timeout,
+                                   TimePoint now) {
+  return control_call(node_rank, /*rejuvenate=*/false, timeout, now);
 }
 
-// ---------------------------------------------------------------- pump --
+// -------------------------------------------------------------- frames --
 
-void MeshRouter::pump() {
-  std::vector<std::uint8_t> frame;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    if (transport_.recv(frame, std::chrono::microseconds{1000})) {
-      DecodeResult d = decode_frame(frame);
-      if (d.ok) {
-        switch (d.msg.type) {
-          case MsgType::kJobDone:
-            handle_done(std::move(d.msg.job_done));
-            break;
-          case MsgType::kJobStarted:
-            handle_started(d.msg.job_started);
-            break;
-          case MsgType::kStatsReply:
-            handle_stats_reply(std::move(d.msg.stats_reply));
-            break;
-          case MsgType::kPing: {
-            // A node front-end keeping its reap clock honest; answering
-            // also counts as router liveness on the node's side.
-            const auto pong = encode(make_pong(self_, d.msg.ping.token));
-            {
-              std::lock_guard lock(mu_);
-              mark_seen_locked(d.msg.ping.from, Clock::now());
-            }
-            send_soft(transport_, d.msg.ping.from, pong);
-            break;
-          }
-          case MsgType::kPong: {
-            std::lock_guard lock(mu_);
-            mark_seen_locked(d.msg.ping.from, Clock::now());
-            break;
-          }
-          default:
-            break;
-        }
+void RouterCore::on_frame(TimePoint now, Message msg) {
+  switch (msg.type) {
+    case MsgType::kJobDone:
+      handle_done(now, std::move(msg.job_done));
+      break;
+    case MsgType::kJobStarted:
+      handle_started(now, msg.job_started);
+      break;
+    case MsgType::kStatsReply:
+      handle_stats_reply(now, std::move(msg.stats_reply));
+      break;
+    case MsgType::kPing: {
+      // A node front-end keeping its reap clock honest; answering also
+      // counts as router liveness on the node's side.
+      {
+        std::lock_guard lock(mu_);
+        mark_seen_locked(msg.ping.from, now);
       }
+      send_soft(transport_, msg.ping.from,
+                encode(make_pong(self_, msg.ping.token)));
+      break;
     }
-    service(Clock::now());
+    case MsgType::kPong: {
+      std::lock_guard lock(mu_);
+      mark_seen_locked(msg.ping.from, now);
+      break;
+    }
+    default:
+      break;
   }
 }
 
-void MeshRouter::mark_seen_locked(std::uint32_t node, Clock::time_point now) {
+void RouterCore::mark_seen_locked(std::uint32_t node, TimePoint now) {
   auto it = nodes_.find(node);
   if (it == nodes_.end()) return;
   it->second.last_seen = now;
@@ -246,7 +223,7 @@ void MeshRouter::mark_seen_locked(std::uint32_t node, Clock::time_point now) {
     // by retransmitting — the node's dedup window or the mesh replica
     // answers retried keys it already finished.
     it->second.alive = true;
-    heals_.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.heals;
     // Parked keys get their first candidate back.
     table_.for_each([&](std::uint64_t rid, Route& r) {
       if (r.kind != Route::Kind::kJob) return;
@@ -254,29 +231,29 @@ void MeshRouter::mark_seen_locked(std::uint32_t node, Clock::time_point now) {
         route_locked(rid, r, now);
       } else if (r.node == node) {
         send_soft(transport_, node, table_.rearm(rid, now));
-        retries_.fetch_add(1, std::memory_order_relaxed);
+        ++counters_.retries;
       }
     });
   }
 }
 
-void MeshRouter::handle_done(JobDoneMsg msg) {
+void RouterCore::handle_done(TimePoint now, JobDoneMsg msg) {
   std::lock_guard lock(mu_);
   Route* r = table_.find(msg.request_id, MsgType::kJobDone);
   if (r == nullptr) return;
   // The reply itself proves its node is alive — but kJobDone carries no
   // sender id (a stolen job answers from the thief), so only the
   // *assigned* node's clock can be refreshed, and only heuristically.
-  mark_seen_locked(r->node, Clock::now());
+  mark_seen_locked(r->node, now);
   if ((msg.flags & kJobDoneWithdrawn) != 0) {
     // The node's start fence refused this key and sealed it locally.
     // Route around it; the exclusion is what keeps the victim's sealed
     // (withdrawn) dedup entry from answering future retries.
-    withdrawals_.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.withdrawals;
     r->excluded.insert(r->node);
     r->node = kNoNode;
     r->started = false;
-    route_locked(msg.request_id, *r, Clock::now());
+    route_locked(msg.request_id, *r, now);
     return;
   }
   table_.take(msg.request_id, MsgType::kJobDone);
@@ -284,13 +261,13 @@ void MeshRouter::handle_done(JobDoneMsg msg) {
   reply.error = static_cast<int>(msg.error);
   reply.races = msg.races;
   reply.payload = std::move(msg.payload);
-  replies_.fetch_add(1, std::memory_order_relaxed);
+  ++counters_.replies;
   cv_.notify_all();
 }
 
-void MeshRouter::handle_started(const JobStartedMsg& msg) {
+void RouterCore::handle_started(TimePoint now, const JobStartedMsg& msg) {
   std::lock_guard lock(mu_);
-  mark_seen_locked(msg.node, Clock::now());
+  mark_seen_locked(msg.node, now);
   Route* r = table_.find(msg.request_id, MsgType::kJobDone);
   if (r == nullptr) return;
   // A mark from a node this key was routed *away* from (it withdrew or
@@ -304,14 +281,14 @@ void MeshRouter::handle_started(const JobStartedMsg& msg) {
     r->node = msg.node;
   }
   r->started = true;
-  started_marks_.fetch_add(1, std::memory_order_relaxed);
+  ++counters_.started_marks;
 }
 
-void MeshRouter::handle_stats_reply(StatsReplyMsg msg) {
+void RouterCore::handle_stats_reply(TimePoint now, StatsReplyMsg msg) {
   std::lock_guard lock(mu_);
   std::optional<Route> r = table_.take(msg.request_id, MsgType::kStatsReply);
   if (!r) return;
-  mark_seen_locked(r->node, Clock::now());
+  mark_seen_locked(r->node, now);
   if (r->kind == Route::Kind::kPoll) {
     auto node = nodes_.find(r->node);
     if (node != nodes_.end()) node->second.health = parse_health(msg.text);
@@ -321,14 +298,14 @@ void MeshRouter::handle_stats_reply(StatsReplyMsg msg) {
   cv_.notify_all();
 }
 
-void MeshRouter::service(Clock::time_point now) {
+void RouterCore::on_tick(TimePoint now) {
   std::lock_guard lock(mu_);
 
   // Health polls — the router's heartbeat toward every node. An
   // unanswered poll expires after 1 s, so none accumulate while a node is
   // down.
   for (auto& [n, s] : nodes_) {
-    if (now - s.last_poll < opts_.health_interval) continue;
+    if (s.last_poll && now - *s.last_poll < opts_.health_interval) continue;
     s.last_poll = now;
     query_locked(n, Route::Kind::kPoll, /*rejuvenate=*/false,
                  std::chrono::seconds{1}, now);
@@ -339,9 +316,10 @@ void MeshRouter::service(Clock::time_point now) {
   // body may be running, and a second execution is the one thing the
   // mesh must never risk; their deadlines bound the wait.
   for (auto& [n, s] : nodes_) {
-    if (!s.alive || now - s.last_seen <= opts_.reap_after) continue;
+    if (!s.last_seen) s.last_seen = now;  // a full silence budget to start
+    if (!s.alive || now - *s.last_seen <= opts_.reap_after) continue;
     s.alive = false;
-    reaps_.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.reaps;
     table_.for_each([&](std::uint64_t rid, Route& r) {
       if (r.kind != Route::Kind::kJob || r.node != n || r.started) return;
       r.excluded.insert(n);
@@ -355,7 +333,7 @@ void MeshRouter::service(Clock::time_point now) {
   for (auto& [rid, frame] : due.resend) {
     const Route* r = table_.find(rid, MsgType::kJobDone);
     if (r == nullptr || r->node == kNoNode) continue;
-    retries_.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.retries;
     send_soft(transport_, r->node, std::move(frame));
   }
 }

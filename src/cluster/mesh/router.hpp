@@ -29,21 +29,22 @@
 // them, with margin for one body execution plus gossip propagation (the
 // chaos suite pins this ordering).
 //
-// Threading: submit/wait/rejuvenate/stats_text may be called from any
-// thread; one internal pump thread owns the transport receive side.
+// Threading: RouterCore decides at the `now` it is given (entry points
+// default to the current time); MeshRouter runs it under a FramePump
+// (frame_pump.hpp). submit/wait/rejuvenate/stats_text: any thread.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "cluster/frame_pump.hpp"
 #include "cluster/mesh/health.hpp"
 #include "cluster/message.hpp"
 #include "cluster/request_table.hpp"
@@ -97,19 +98,24 @@ struct RouterCounters {
   std::uint64_t started_marks = 0;  ///< kJobStarted frames accepted
   std::uint64_t retries = 0;        ///< submit retransmissions
   std::uint64_t unreachable = 0;    ///< handles resolved at deadline
+  std::uint64_t rejected_frames = 0;  ///< malformed frames dropped
 };
 
-class MeshRouter {
+/// The router's protocol core: routing, liveness, start-marks and
+/// withdrawals as decisions at a given `now`.
+class RouterCore : public FrameRole {
  public:
-  using Reply = AsyncServeClient::Reply;
+  using Reply = ServeClientCore::Reply;
 
-  /// Starts the pump. `transport` must outlive the router; its node_id()
-  /// is the client rank every node replies to.
-  MeshRouter(Transport& transport, MeshRouterOptions opts);
-  ~MeshRouter();
+  /// `transport` must outlive the router; its node_id() is the client
+  /// rank every node replies to.
+  RouterCore(Transport& transport, MeshRouterOptions opts);
+  ~RouterCore() override;
 
-  MeshRouter(const MeshRouter&) = delete;
-  MeshRouter& operator=(const MeshRouter&) = delete;
+  void on_frame(TimePoint now, Message msg) override;
+  /// Timers: health polls, reaps, deadlines and retransmissions (the pump
+  /// ticks after every receive).
+  void on_tick(TimePoint now) override;
 
   /// Stops the pump and resolves every outstanding handle kUnreachable.
   void stop();
@@ -119,7 +125,8 @@ class MeshRouter {
   /// heals or the deadline passes).
   std::uint64_t submit(const std::string& function,
                        std::vector<std::uint8_t> payload,
-                       RouterSubmitOptions o = {});
+                       RouterSubmitOptions o = {},
+                       TimePoint now = Clock::now());
 
   /// Blocks until the handle resolves, returns the reply and forgets the
   /// handle. Every handle resolves exactly once — a real kJobDone or
@@ -131,21 +138,22 @@ class MeshRouter {
 
   /// Runs a rejuvenation cycle on one node (kRejuvenate routed straight
   /// to `node_rank`); returns the cycle report text, empty on timeout.
-  std::string rejuvenate(std::uint32_t node_rank,
-                         std::chrono::microseconds timeout =
-                             std::chrono::microseconds{2'000'000});
+  std::string rejuvenate(
+      std::uint32_t node_rank,
+      std::chrono::microseconds timeout = std::chrono::microseconds{2'000'000},
+      TimePoint now = Clock::now());
 
   /// Fetches one node's exposition page, empty on timeout.
-  std::string stats_text(std::uint32_t node_rank,
-                         std::chrono::microseconds timeout =
-                             std::chrono::microseconds{2'000'000});
+  std::string stats_text(
+      std::uint32_t node_rank,
+      std::chrono::microseconds timeout = std::chrono::microseconds{2'000'000},
+      TimePoint now = Clock::now());
 
   [[nodiscard]] RouterCounters counters() const;
   [[nodiscard]] std::vector<std::uint32_t> live_nodes() const;
   [[nodiscard]] NodeHealth health(std::uint32_t node_rank) const;
 
  private:
-  using Clock = std::chrono::steady_clock;
   static constexpr std::uint32_t kNoNode = 0xFFFFFFFFu;
 
   /// Routing state of a table entry. A job routes by (key, cls); a health
@@ -162,32 +170,33 @@ class MeshRouter {
 
   struct NodeState {
     bool alive = true;
-    Clock::time_point last_seen;
-    Clock::time_point last_poll;
+    /// Last sign of life; a node's silence clock starts at the first tick.
+    std::optional<TimePoint> last_seen;
+    std::optional<TimePoint> last_poll;  ///< none: poll on the next tick
     NodeHealth health;
   };
 
-  void pump();
-  void service(Clock::time_point now);  // timers: polls, reaps, the table
-  void handle_done(JobDoneMsg msg);
-  void handle_started(const JobStartedMsg& msg);
-  void handle_stats_reply(StatsReplyMsg msg);
+  void handle_done(TimePoint now, JobDoneMsg msg);
+  void handle_started(TimePoint now, const JobStartedMsg& msg);
+  void handle_stats_reply(TimePoint now, StatsReplyMsg msg);
   /// Picks a live, non-excluded node for (key, cls); kNoNode if none.
   [[nodiscard]] std::uint32_t pick_locked(std::uint64_t key, std::uint8_t cls,
                                           const std::set<std::uint32_t>& ex);
-  void route_locked(std::uint64_t rid, Route& r, Clock::time_point now);
-  void mark_seen_locked(std::uint32_t node, Clock::time_point now);
+  void route_locked(std::uint64_t rid, Route& r, TimePoint now);
+  void mark_seen_locked(std::uint32_t node, TimePoint now);
   /// Sends one kStatsQuery (or kRejuvenate) to `node` as a one-shot table
   /// entry that expires after `timeout`; returns its request id.
   std::uint64_t query_locked(std::uint32_t node, Route::Kind kind,
                              bool rejuvenate, std::chrono::microseconds timeout,
-                             Clock::time_point now);
+                             TimePoint now);
   /// `r` left the table unanswered: its waiter gets kUnreachable.
   void expire_locked(std::uint64_t rid, const Route& r);
   /// Blocks until `rid` leaves the table, then takes its outcome.
   Reply collect(std::unique_lock<std::mutex>& lock, std::uint64_t rid);
+  /// Sends `node` a kRejuvenate (or kStatsQuery) at `now` and blocks for
+  /// the reply text; empty on timeout or once stopped.
   std::string control_call(std::uint32_t node_rank, bool rejuvenate,
-                           std::chrono::microseconds timeout);
+                           std::chrono::microseconds timeout, TimePoint now);
 
   Transport& transport_;
   MeshRouterOptions opts_;
@@ -195,22 +204,15 @@ class MeshRouter {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  RequestTable<Route, Clock::time_point> table_;  ///< everything in flight
+  RequestTable<Route, TimePoint> table_;  ///< everything in flight
   std::map<std::uint64_t, Reply> resolved_;  ///< outcomes not yet collected
   std::map<std::uint32_t, NodeState> nodes_;
   std::uint64_t next_rid_ = 0;
-
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> replies_{0};
-  std::atomic<std::uint64_t> reroutes_{0};
-  std::atomic<std::uint64_t> reaps_{0};
-  std::atomic<std::uint64_t> heals_{0};
-  std::atomic<std::uint64_t> withdrawals_{0};
-  std::atomic<std::uint64_t> started_marks_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> unreachable_{0};
-  std::thread pump_;
+  bool stopped_ = false;
+  RouterCounters counters_;  ///< rejected_frames aside (the pump counts it)
 };
+
+/// The router with its pump running from construction to stop().
+using MeshRouter = Pumped<RouterCore>;
 
 }  // namespace cluster::mesh

@@ -7,20 +7,18 @@
 
 namespace cluster {
 
-using Clock = std::chrono::steady_clock;
-
 namespace {
 
 /// Waits for a kStatsReply-answered request; its text lands in `out`.
-int await_text(std::future<AsyncServeClient::Reply> fut, std::string& out) {
-  AsyncServeClient::Reply r = fut.get();
+int await_text(std::future<ServeClientCore::Reply> fut, std::string& out) {
+  ServeClientCore::Reply r = fut.get();
   if (r.error != anahy::kOk) return r.error;
   out = r.text();
   return anahy::kOk;
 }
 
-AsyncServeClient::Reply unreachable() {
-  AsyncServeClient::Reply r;
+ServeClientCore::Reply unreachable() {
+  ServeClientCore::Reply r;
   r.error = anahy::kUnreachable;
   return r;
 }
@@ -29,7 +27,7 @@ AsyncServeClient::Reply unreachable() {
 
 // ---------------------------------------------------------------- Link --
 
-void ServeFrontEnd::Link::send_locked(int dst,
+void FrontEndCore::Link::send_locked(int dst,
                                       const std::vector<std::uint8_t>& frame) {
   // Null once the front-end stopped: the reply is dropped. A severed
   // peer loses it too; a live client retries and is answered from the
@@ -38,7 +36,7 @@ void ServeFrontEnd::Link::send_locked(int dst,
     ++send_failures;
 }
 
-void ServeFrontEnd::Link::record_done_locked(const Key& key,
+void FrontEndCore::Link::record_done_locked(const Key& key,
                                              std::vector<std::uint8_t> frame) {
   inflight.erase(key);
   if (dedup_window == 0) return;
@@ -51,24 +49,22 @@ void ServeFrontEnd::Link::record_done_locked(const Key& key,
   }
 }
 
-// -------------------------------------------------------- ServeFrontEnd --
+// --------------------------------------------------------- FrontEndCore --
 
-ServeFrontEnd::ServeFrontEnd(anahy::serve::JobServer& server,
-                             Transport& transport, const Registry& registry,
-                             FrontEndOptions opts)
-    : server_(server), transport_(transport), registry_(registry),
-      opts_(opts) {
-  link_ = std::make_shared<Link>();
+FrontEndCore::FrontEndCore(anahy::serve::JobServer& server,
+                           Transport& transport, const Registry& registry,
+                           FrontEndOptions opts)
+    : FrameRole(transport, opts.heartbeat_interval),
+      server_(server), transport_(transport), registry_(registry),
+      opts_(opts), link_(std::make_shared<Link>()) {
   link_->transport = &transport;
   link_->dedup_window = opts_.dedup_window;
-  pump_ = std::thread([this] { pump(); });
 }
 
-ServeFrontEnd::~ServeFrontEnd() { stop(); }
+FrontEndCore::~FrontEndCore() { stop(); }
 
-void ServeFrontEnd::stop() {
-  if (stop_.exchange(true)) return;
-  if (pump_.joinable()) pump_.join();
+void FrontEndCore::stop() {
+  pump().stop();
   // Detach the transport under the link lock: any completion callback that
   // is mid-flight either already holds the lock (and sends to the still-
   // valid transport before we proceed) or will take it after us and see
@@ -77,132 +73,82 @@ void ServeFrontEnd::stop() {
   link_->transport = nullptr;
 }
 
-std::string ServeFrontEnd::last_reject_diagnostic() const {
-  std::lock_guard lock(link_->mu);
-  return link_->last_reject;
-}
-
-std::uint64_t ServeFrontEnd::withdrawn() const {
-  std::lock_guard lock(link_->mu);
-  return link_->withdrawn;
-}
-
-std::int64_t ServeFrontEnd::last_seen_age_us(std::uint32_t client) const {
+std::int64_t FrontEndCore::last_seen_age_us(std::uint32_t client,
+                                            TimePoint now) const {
   std::lock_guard lock(link_->mu);
   auto it = link_->last_seen.find(client);
   if (it == link_->last_seen.end()) return -1;
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               it->second)
-      .count();
+  // `now` may predate a stamp the pump took after the caller read it.
+  return std::max<std::int64_t>(
+      0, std::chrono::duration_cast<std::chrono::microseconds>(now - it->second)
+             .count());
 }
 
-std::vector<anahy::observe::ExtraCounter> ServeFrontEnd::extra_counters()
+std::vector<anahy::observe::ExtraCounter> FrontEndCore::extra_counters()
     const {
-  std::uint64_t send_failures = 0;
-  std::uint64_t withdrawn = 0;
-  std::uint64_t dedup_entries = 0;
-  std::uint64_t inflight_entries = 0;
-  {
-    std::lock_guard lock(link_->mu);
-    send_failures = link_->send_failures;
-    withdrawn = link_->withdrawn;
-    dedup_entries = link_->done_order.size();
-    inflight_entries = link_->inflight.size();
-  }
+  std::lock_guard lock(link_->mu);
   return {
-      {"anahy_frontend_submissions_total", "",
-       submissions_.load(std::memory_order_relaxed)},
-      {"anahy_frontend_retransmits_total", "",
-       retransmits_.load(std::memory_order_relaxed)},
+      {"anahy_frontend_submissions_total", "", submissions()},
+      {"anahy_frontend_retransmits_total", "", retransmits()},
       {"anahy_frontend_duplicates_suppressed_total", "",
-       duplicates_suppressed_.load(std::memory_order_relaxed)},
-      {"anahy_frontend_rejected_frames_total", "",
-       rejected_frames_.load(std::memory_order_relaxed)},
-      {"anahy_frontend_pings_sent_total", "",
-       pings_sent_.load(std::memory_order_relaxed)},
-      {"anahy_frontend_clients_reaped_total", "",
-       clients_reaped_.load(std::memory_order_relaxed)},
-      {"anahy_frontend_replica_hits_total", "",
-       replica_hits_.load(std::memory_order_relaxed)},
-      {"anahy_frontend_withdrawn_total", "", withdrawn},
-      {"anahy_frontend_rejuv_forwards_total", "",
-       rejuv_forwards_.load(std::memory_order_relaxed)},
-      {"anahy_frontend_send_failures_total", "", send_failures},
-      {"anahy_frontend_dedup_entries", "", dedup_entries},
-      {"anahy_frontend_inflight_entries", "", inflight_entries},
+       duplicates_suppressed()},
+      {"anahy_frontend_rejected_frames_total", "", rejected_frames()},
+      {"anahy_frontend_pings_sent_total", "", pings_sent()},
+      {"anahy_frontend_clients_reaped_total", "", clients_reaped()},
+      {"anahy_frontend_replica_hits_total", "", replica_hits()},
+      {"anahy_frontend_withdrawn_total", "", link_->withdrawn},
+      {"anahy_frontend_rejuv_forwards_total", "", rejuv_forwards()},
+      {"anahy_frontend_send_failures_total", "", link_->send_failures},
+      {"anahy_frontend_dedup_entries", "", link_->done_order.size()},
+      {"anahy_frontend_inflight_entries", "", link_->inflight.size()},
   };
 }
 
-void ServeFrontEnd::pump() {
-  std::vector<std::uint8_t> frame;
-  auto last_beat = Clock::now();
-  while (!stop_.load(std::memory_order_relaxed)) {
-    if (transport_recv(frame)) {
-      DecodeResult d = decode_frame(frame);
-      if (!d.ok) {
-        rejected_frames_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard lock(link_->mu);
-        link_->last_reject = std::move(d.diagnostic);
-      } else {
-        switch (d.msg.type) {
-          case MsgType::kStatsQuery:
-            handle_stats_query(d.msg.stats_query);
-            break;
-          case MsgType::kRejuvenate:
-            handle_rejuvenate(d.msg.rejuv);
-            break;
-          case MsgType::kPong: {
-            std::lock_guard lock(link_->mu);
-            link_->last_seen[d.msg.ping.from] = Clock::now();
-            break;
-          }
-          case MsgType::kPing: {
-            // Liveness probe from a peer (a mesh router keeping its reap
-            // clock honest, or another node's front-end): echo the token
-            // and count the sender as seen.
-            const auto pong = encode(make_pong(
-                static_cast<std::uint32_t>(transport_.node_id()),
-                d.msg.ping.token));
-            std::lock_guard lock(link_->mu);
-            link_->last_seen[d.msg.ping.from] = Clock::now();
-            link_->send_locked(static_cast<int>(d.msg.ping.from), pong);
-            break;
-          }
-          case MsgType::kJobSubmit:
-            handle_submit(std::move(d.msg.job_submit));
-            break;
-          case MsgType::kJobSteal:
-          case MsgType::kJobMigrate:
-          case MsgType::kMeshGossip:
-            if (opts_.mesh != nullptr)
-              opts_.mesh->on_mesh_frame(*this, std::move(d.msg));
-            break;
-          default:
-            break;  // not serve traffic; drop
-        }
-      }
+void FrontEndCore::on_frame(TimePoint now, Message msg) {
+  switch (msg.type) {
+    case MsgType::kStatsQuery:
+      handle_stats_query(now, msg.stats_query);
+      break;
+    case MsgType::kRejuvenate:
+      handle_rejuvenate(now, msg.rejuv);
+      break;
+    case MsgType::kPong: {
+      std::lock_guard lock(link_->mu);
+      link_->last_seen[msg.ping.from] = now;
+      break;
     }
-    if (opts_.heartbeat_interval.count() > 0) {
-      const auto now = Clock::now();
-      if (now - last_beat >= opts_.heartbeat_interval) {
-        heartbeat(now);
-        if (opts_.mesh != nullptr) opts_.mesh->on_tick();
-        last_beat = now;
-      }
+    case MsgType::kPing: {
+      // Liveness probe from a peer (a mesh router keeping its reap clock
+      // honest, or another node's front-end): echo the token and count the
+      // sender as seen.
+      const auto pong = encode(make_pong(
+          static_cast<std::uint32_t>(transport_.node_id()), msg.ping.token));
+      std::lock_guard lock(link_->mu);
+      link_->last_seen[msg.ping.from] = now;
+      link_->send_locked(static_cast<int>(msg.ping.from), pong);
+      break;
     }
+    case MsgType::kJobSubmit:
+      handle_submit(std::move(msg.job_submit), now);
+      break;
+    case MsgType::kJobSteal:
+    case MsgType::kJobMigrate:
+    case MsgType::kMeshGossip:
+      if (opts_.mesh != nullptr)
+        opts_.mesh->on_mesh_frame(now, std::move(msg));
+      break;
+    default:
+      break;  // not serve traffic; drop
   }
 }
 
-bool ServeFrontEnd::transport_recv(std::vector<std::uint8_t>& frame) {
-  // Bounded so the heartbeat timer fires even on a silent fabric.
-  const auto slice = opts_.heartbeat_interval.count() > 0
-                         ? std::min(opts_.heartbeat_interval,
-                                    std::chrono::microseconds{1000})
-                         : std::chrono::microseconds{1000};
-  return transport_.recv(frame, slice);
+void FrontEndCore::on_tick(TimePoint now) {
+  if (opts_.heartbeat_interval.count() <= 0) return;
+  heartbeat(now);
+  if (opts_.mesh != nullptr) opts_.mesh->on_tick(now);
 }
 
-void ServeFrontEnd::heartbeat(Clock::time_point now) {
+void FrontEndCore::heartbeat(TimePoint now) {
   std::lock_guard lock(link_->mu);
 
   // Clients that still have jobs in flight are the ones we care about.
@@ -241,7 +187,8 @@ void ServeFrontEnd::heartbeat(Clock::time_point now) {
   }
 }
 
-void ServeFrontEnd::handle_stats_query(const StatsQueryMsg& msg) {
+void FrontEndCore::handle_stats_query(TimePoint now,
+                                      const StatsQueryMsg& msg) {
   stats_queries_.fetch_add(1, std::memory_order_relaxed);
   // Compose the exposition before taking the link lock: the front-end's
   // own rows lock it briefly inside extra_counters(), and the mesh rows
@@ -252,11 +199,12 @@ void ServeFrontEnd::handle_stats_query(const StatsQueryMsg& msg) {
     text += anahy::observe::render_counters(opts_.mesh->extra_counters());
   const auto frame = encode(make_stats_reply(msg.request_id, std::move(text)));
   std::lock_guard lock(link_->mu);
-  link_->last_seen[msg.client] = Clock::now();  // health polls prove liveness
+  link_->last_seen[msg.client] = now;  // health polls prove liveness
   link_->send_locked(static_cast<int>(msg.client), frame);
 }
 
-void ServeFrontEnd::handle_rejuvenate(const RejuvenateMsg& msg) {
+void FrontEndCore::handle_rejuvenate(TimePoint now,
+                                     const RejuvenateMsg& msg) {
   const auto self = static_cast<std::uint32_t>(transport_.node_id());
   if (msg.target != kRejuvTargetSelf && msg.target != self) {
     // Addressed to another mesh node (docs/MESH.md): forward the frame
@@ -266,7 +214,7 @@ void ServeFrontEnd::handle_rejuvenate(const RejuvenateMsg& msg) {
     const auto frame =
         encode(make_rejuvenate(msg.client, msg.request_id, msg.target));
     std::lock_guard lock(link_->mu);
-    link_->last_seen[msg.client] = Clock::now();
+    link_->last_seen[msg.client] = now;
     link_->send_locked(static_cast<int>(msg.target), frame);
     return;
   }
@@ -278,11 +226,12 @@ void ServeFrontEnd::handle_rejuvenate(const RejuvenateMsg& msg) {
   const anahy::rejuv::CycleReport rep = server_.rejuvenate();
   const auto frame = encode(make_stats_reply(msg.request_id, rep.summary()));
   std::lock_guard lock(link_->mu);
-  link_->last_seen[msg.client] = Clock::now();
+  link_->last_seen[msg.client] = now;
   link_->send_locked(static_cast<int>(msg.client), frame);
 }
 
-void ServeFrontEnd::handle_submit(JobSubmitMsg msg, bool exportable) {
+void FrontEndCore::handle_submit(JobSubmitMsg msg,
+                                 std::optional<TimePoint> from) {
   submissions_.fetch_add(1, std::memory_order_relaxed);
   const std::uint32_t client = msg.client;
   const std::uint64_t request_id = msg.request_id;
@@ -290,7 +239,7 @@ void ServeFrontEnd::handle_submit(JobSubmitMsg msg, bool exportable) {
 
   {
     std::lock_guard lock(link_->mu);
-    link_->last_seen[client] = Clock::now();  // any submit proves liveness
+    if (from) link_->last_seen[client] = *from;  // a wire submit is liveness
 
     // Retry of a completed request: answer from cache, execute nothing.
     auto cached = link_->done_cache.find(key);
@@ -344,13 +293,12 @@ void ServeFrontEnd::handle_submit(JobSubmitMsg msg, bool exportable) {
   // executing the body and the thread resolving the job may differ.
   struct RemoteJob {
     RemoteFn fn;
-    std::vector<std::uint8_t> payload;
+    JobSubmitMsg job;  ///< as received; shipped whole if it migrates
     std::vector<std::uint8_t> result;
     bool withdrawn = false;  ///< start fence refused; body never ran
   };
   auto rj = std::make_shared<RemoteJob>();
   rj->fn = registry_.get(msg.function);
-  rj->payload = std::move(msg.payload);
 
   anahy::serve::JobSpec spec;
   spec.priority = msg.priority < anahy::kNumPriorities
@@ -362,30 +310,26 @@ void ServeFrontEnd::handle_submit(JobSubmitMsg msg, bool exportable) {
   // Wire submits are the only jobs a mesh node may export to a peer: they
   // carry enough bytes (function name + payload) to rebuild the JobSpec
   // remotely, which locally-submitted closures do not.
-  spec.exportable = exportable;
+  spec.exportable = from.has_value();
+  rj->job = std::move(msg);
   MeshHooks* hooks = opts_.mesh;
-  // `self` is dereferenced only with hooks installed, and their owner
-  // (mesh::MeshNode) drains the server before destroying this front-end.
-  spec.body = [rj, hooks, self = this, client, request_id](void*) -> void* {
+  spec.body = [rj, hooks, client, request_id](void*) -> void* {
     // Start fence (docs/MESH.md): once the router has been silent past the
     // fence window it may have reassigned this key — running the body now
     // could execute it twice in the cluster. Withdraw instead.
-    if (hooks != nullptr && !hooks->allow_start(*self, client, request_id)) {
+    if (hooks != nullptr && !hooks->allow_start(client, request_id)) {
       rj->withdrawn = true;
       return nullptr;
     }
-    rj->result = rj->fn(rj->payload);
+    rj->result = rj->fn(rj->job.payload);
     return &rj->result;
   };
   // Fires exactly once for every submission outcome, including rejected
   // handles — that is the "never silence" half of the reply contract. It
   // captures the shared Link, not `this`: a job may resolve after stop().
   auto link = link_;
-  spec.on_complete = [link, rj, hooks, client, request_id,
-                      priority = msg.priority, timeout_ns = msg.timeout_ns,
-                      check = msg.check, function = msg.function](
-                         const anahy::serve::JobResult& r) {
-    const Key key{client, request_id};
+  spec.on_complete = [link, rj, hooks, key](const anahy::serve::JobResult& r) {
+    const auto [client, request_id] = key;
     if (r.error == anahy::kMigrated) {
       // export_queued pulled this job before it ever started: a peer will
       // execute it and answer the client under the original key. Drop the
@@ -396,17 +340,7 @@ void ServeFrontEnd::handle_submit(JobSubmitMsg msg, bool exportable) {
         std::lock_guard lock(link->mu);
         link->inflight.erase(key);
       }
-      if (hooks != nullptr) {
-        JobSubmitMsg out;
-        out.client = client;
-        out.request_id = request_id;
-        out.priority = priority;
-        out.timeout_ns = timeout_ns;
-        out.check = check;
-        out.function = function;
-        out.payload = std::move(rj->payload);
-        hooks->on_export(std::move(out));
-      }
+      if (hooks != nullptr) hooks->on_export(std::move(rj->job));
       return;
     }
     std::vector<std::uint8_t> out;
@@ -447,17 +381,15 @@ void ServeFrontEnd::handle_submit(JobSubmitMsg msg, bool exportable) {
   if (it != link_->inflight.end()) it->second = std::move(h);
 }
 
-// ------------------------------------------------------ AsyncServeClient --
+// ------------------------------------------------------- ServeClientCore --
 
-AsyncServeClient::AsyncServeClient(Transport& transport, int server_node,
-                                   std::uint64_t seed)
-    : transport_(transport), server_node_(server_node), table_(seed) {
-  pump_ = std::thread([this] { pump(); });
-}
+ServeClientCore::ServeClientCore(Transport& transport, int server_node,
+                                 std::uint64_t seed)
+    : FrameRole(transport, std::chrono::microseconds{1000}),
+      transport_(transport), server_node_(server_node), table_(seed) {}
 
-AsyncServeClient::~AsyncServeClient() {
-  stop_.store(true);
-  if (pump_.joinable()) pump_.join();
+ServeClientCore::~ServeClientCore() {
+  pump().stop();
   // Outstanding submissions resolve definitely even at teardown.
   std::vector<std::pair<std::uint64_t, Pending>> orphans;
   {
@@ -467,96 +399,75 @@ AsyncServeClient::~AsyncServeClient() {
   for (auto& [id, p] : orphans) resolve(std::move(p), unreachable());
 }
 
-void AsyncServeClient::resolve(Pending&& p, Reply r) {
+void ServeClientCore::resolve(Pending&& p, Reply r) {
   if (p.callback) p.callback(r);
   p.promise.set_value(std::move(r));
 }
 
-std::future<AsyncServeClient::Reply> AsyncServeClient::start(
-    std::uint64_t id, std::vector<std::uint8_t> frame, const CallOptions& copts,
-    MsgType reply, Callback callback) {
+std::future<ServeClientCore::Reply> ServeClientCore::start(
+    TimePoint now, std::uint64_t id, std::vector<std::uint8_t> frame,
+    const CallOptions& copts, MsgType reply, Callback callback) {
   Pending p{{}, std::move(callback)};
   std::future<Reply> fut = p.promise.get_future();
   {
     std::lock_guard lock(mu_);
-    table_.add(id, frame, reply, copts, Clock::now(), std::move(p));
+    table_.add(id, frame, reply, copts, now, std::move(p));
   }
   send_soft(transport_, server_node_, std::move(frame));
   return fut;
 }
 
-std::future<AsyncServeClient::Reply> AsyncServeClient::submit_async(
+std::future<ServeClientCore::Reply> ServeClientCore::submit_async(
     const std::string& function, std::vector<std::uint8_t> payload,
     const CallOptions& copts, anahy::Priority priority, std::int64_t timeout_ns,
-    bool check, Callback callback) {
+    bool check, Callback callback, TimePoint now) {
   const std::uint64_t id = next_id();
-  return start(id,
-               encode(make_job_submit(
-                   static_cast<std::uint32_t>(transport_.node_id()), id,
-                   static_cast<std::uint8_t>(priority), timeout_ns, check,
-                   function, std::move(payload))),
+  return start(now, id,
+               encode(make_job_submit(self(), id,
+                                      static_cast<std::uint8_t>(priority),
+                                      timeout_ns, check, function,
+                                      std::move(payload))),
                copts, MsgType::kJobDone, std::move(callback));
 }
 
-AsyncServeClient::Reply AsyncServeClient::call(
-    const std::string& function, std::vector<std::uint8_t> payload,
-    const CallOptions& copts, anahy::Priority priority, std::int64_t timeout_ns,
-    bool check) {
-  return submit_async(function, std::move(payload), copts, priority,
-                      timeout_ns, check)
-      .get();
-}
-
-int AsyncServeClient::query_stats(std::string& out, const CallOptions& copts) {
+int ServeClientCore::query_stats(std::string& out, const CallOptions& copts,
+                                 TimePoint now) {
   const std::uint64_t id = next_id();
-  return await_text(
-      start(id,
-            encode(make_stats_query(
-                static_cast<std::uint32_t>(transport_.node_id()), id)),
-            copts, MsgType::kStatsReply, nullptr),
-      out);
+  return await_text(start(now, id, encode(make_stats_query(self(), id)), copts,
+                          MsgType::kStatsReply, nullptr),
+                    out);
 }
 
-int AsyncServeClient::rejuvenate(std::string& out, const CallOptions& copts,
-                                 std::uint32_t target) {
+int ServeClientCore::rejuvenate(std::string& out, const CallOptions& copts,
+                                std::uint32_t target, TimePoint now) {
   // kRejuvenate is answered by kStatsReply, so it waits like a stats pull.
   const std::uint64_t id = next_id();
   return await_text(
-      start(id,
-            encode(make_rejuvenate(
-                static_cast<std::uint32_t>(transport_.node_id()), id, target)),
-            copts, MsgType::kStatsReply, nullptr),
+      start(now, id, encode(make_rejuvenate(self(), id, target)), copts,
+            MsgType::kStatsReply, nullptr),
       out);
 }
 
-std::size_t AsyncServeClient::inflight() const {
+std::size_t ServeClientCore::inflight() const {
   std::lock_guard lock(mu_);
   return table_.size();
 }
 
-void AsyncServeClient::handle_frame(const std::vector<std::uint8_t>& frame) {
-  DecodeResult d = decode_frame(frame);
-  if (!d.ok) {
-    rejected_frames_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  switch (d.msg.type) {
+void ServeClientCore::on_frame(TimePoint /*now*/, Message msg) {
+  switch (msg.type) {
     case MsgType::kPing:
       send_soft(transport_, server_node_,
-                encode(make_pong(
-                    static_cast<std::uint32_t>(transport_.node_id()),
-                    d.msg.ping.token)));
-      pings_answered_.fetch_add(1, std::memory_order_relaxed);
+                encode(make_pong(self(), msg.ping.token)));
       break;
     case MsgType::kJobDone:
     case MsgType::kStatsReply: {
-      const bool job = d.msg.type == MsgType::kJobDone;
+      const bool job = msg.type == MsgType::kJobDone;
       std::optional<Pending> p;
       {
         std::lock_guard lock(mu_);
-        p = table_.take(job ? d.msg.job_done.request_id
-                            : d.msg.stats_reply.request_id,
-                        d.msg.type);
+        p = table_.take(
+            job ? msg.job_done.request_id : msg.stats_reply.request_id,
+            msg.type);
       }
       if (!p) {
         duplicate_replies_.fetch_add(1, std::memory_order_relaxed);
@@ -564,12 +475,12 @@ void AsyncServeClient::handle_frame(const std::vector<std::uint8_t>& frame) {
       }
       Reply r;
       if (job) {
-        r.error = static_cast<int>(d.msg.job_done.error);
-        r.races = d.msg.job_done.races;
-        r.payload = std::move(d.msg.job_done.payload);
+        r.error = static_cast<int>(msg.job_done.error);
+        r.races = msg.job_done.races;
+        r.payload = std::move(msg.job_done.payload);
       } else {
-        r.payload.assign(d.msg.stats_reply.text.begin(),
-                         d.msg.stats_reply.text.end());
+        r.payload.assign(msg.stats_reply.text.begin(),
+                         msg.stats_reply.text.end());
       }
       resolve(std::move(*p), std::move(r));
       break;
@@ -579,32 +490,19 @@ void AsyncServeClient::handle_frame(const std::vector<std::uint8_t>& frame) {
   }
 }
 
-void AsyncServeClient::pump() {
-  std::vector<std::uint8_t> frame;
-  auto next_timer_scan = Clock::now();
-  while (!stop_.load(std::memory_order_relaxed)) {
-    if (transport_.recv(frame, std::chrono::microseconds{1000})) {
-      handle_frame(frame);
-      // Drain without sleeping: coalesced batches land together.
-      while (transport_.recv(frame, std::chrono::microseconds{0}))
-        handle_frame(frame);
-    }
-    const auto now = Clock::now();
-    if (now < next_timer_scan) continue;
-    next_timer_scan = now + std::chrono::microseconds{1000};
-    // Decide under the lock, act outside it: callbacks and sends never run
-    // with mu_ held.
-    decltype(table_)::Due due;
-    {
-      std::lock_guard lock(mu_);
-      due = table_.tick(now);
-    }
-    for (auto& [id, bytes] : due.resend) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      send_soft(transport_, server_node_, std::move(bytes));
-    }
-    for (auto& [id, p] : due.expired) resolve(std::move(p), unreachable());
+void ServeClientCore::on_tick(TimePoint now) {
+  // Decide under the lock, act outside it: callbacks and sends never run
+  // with mu_ held.
+  decltype(table_)::Due due;
+  {
+    std::lock_guard lock(mu_);
+    due = table_.tick(now);
   }
+  for (auto& [id, bytes] : due.resend) {
+    retries_.fetch_add(1, std::memory_order_relaxed);
+    send_soft(transport_, server_node_, std::move(bytes));
+  }
+  for (auto& [id, p] : due.expired) resolve(std::move(p), unreachable());
 }
 
 }  // namespace cluster

@@ -29,8 +29,11 @@
 //  * Clients with work in flight are pinged; a client that stops answering
 //    is declared dead and its jobs are cancelled (no abandoned work).
 //
-// One front-end pump thread receives; replies are sent from whichever VP
-// completes the job (Transport::send is thread-safe).
+// Each role is a core with no thread and no clock (FrontEndCore,
+// ServeClientCore) driven by one FramePump (frame_pump.hpp), which owns the
+// receive thread and hands every frame and timer pass the time it happens
+// at. Replies are sent from whichever VP completes the job
+// (Transport::send is thread-safe).
 #pragma once
 
 #include <atomic>
@@ -42,12 +45,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "anahy/serve/job_server.hpp"
+#include "cluster/frame_pump.hpp"
 #include "cluster/message.hpp"
 #include "cluster/registry.hpp"
 #include "cluster/request_table.hpp"
@@ -55,9 +59,7 @@
 
 namespace cluster {
 
-class ServeFrontEnd;
-
-/// Mesh extension points of a ServeFrontEnd (docs/MESH.md). A front-end
+/// Mesh extension points of a front-end (docs/MESH.md). A front-end
 /// with hooks installed becomes one node of an anahy::mesh deployment:
 /// mesh frames are forwarded here, remote job bodies pass the start fence,
 /// completions feed the replicated done-cache, and queued jobs can leave
@@ -71,21 +73,16 @@ class ServeFrontEnd;
 /// lock; on_export runs synchronously inside JobServer::export_queued on
 /// whatever thread called it. extra_counters runs on the pump thread with
 /// no front-end lock held.
-///
-/// The hooks that need the front-end get it as an argument: its pump may
-/// fire them before the ServeFrontEnd constructor has returned, so an
-/// implementation must not read a front-end pointer of its own there.
 class MeshHooks {
  public:
   virtual ~MeshHooks() = default;
 
-  /// A mesh frame (kJobSteal / kJobMigrate / kMeshGossip) arrived at
-  /// `frontend`.
-  virtual void on_mesh_frame(ServeFrontEnd& frontend, Message msg) = 0;
+  /// A mesh frame (kJobSteal / kJobMigrate / kMeshGossip) arrived at `now`.
+  virtual void on_mesh_frame(TimePoint now, Message msg) = 0;
 
   /// Heartbeat-cadence tick (requires heartbeat_interval > 0): gossip
   /// batches go out, idle nodes probe victims, backoffs advance.
-  virtual void on_tick() = 0;
+  virtual void on_tick(TimePoint now) = 0;
 
   /// What to do with a fresh (not locally cached, not in flight) submit.
   enum class SubmitIntercept : std::uint8_t {
@@ -102,8 +99,7 @@ class MeshHooks {
   /// false *withdraws* the job — the body is never executed and the reply
   /// carries kJobDoneWithdrawn, certifying the router may re-route the key
   /// with no double-execution risk.
-  virtual bool allow_start(const ServeFrontEnd& frontend,
-                           std::uint32_t client, std::uint64_t request_id) = 0;
+  virtual bool allow_start(std::uint32_t client, std::uint64_t request_id) = 0;
 
   /// A remote job resolved for real (never called for withdrawn jobs) and
   /// `frame` — the encoded kJobDone — just entered the dedup window.
@@ -149,16 +145,16 @@ struct FrontEndOptions {
 /// rejections: a client that was turned away sees kOverloaded/kPerm/
 /// kInvalid, never silence). Duplicate submissions inside the dedup window
 /// are answered from cache.
-class ServeFrontEnd {
+///
+/// The core: every decision (dedup, suppression, liveness, reap) takes
+/// `now` from its caller, and its pump receives nothing until started.
+class FrontEndCore : public FrameRole {
  public:
-  /// Starts the pump thread. The server, transport and registry references
-  /// must outlive this object (or its stop()).
-  ServeFrontEnd(anahy::serve::JobServer& server, Transport& transport,
-                const Registry& registry, FrontEndOptions opts = {});
-  ~ServeFrontEnd();
-
-  ServeFrontEnd(const ServeFrontEnd&) = delete;
-  ServeFrontEnd& operator=(const ServeFrontEnd&) = delete;
+  /// The server, transport and registry references must outlive this
+  /// object (or its stop()).
+  FrontEndCore(anahy::serve::JobServer& server, Transport& transport,
+               const Registry& registry, FrontEndOptions opts = {});
+  ~FrontEndCore() override;
 
   /// Stops the pump thread and detaches the transport (idempotent). After
   /// stop() returns, no completion callback will touch the transport again
@@ -166,6 +162,11 @@ class ServeFrontEnd {
   /// is what makes "stop the front-end, destroy the transport, let the
   /// server drain" a safe teardown order.
   void stop();
+
+  void on_frame(TimePoint now, Message msg) override;
+  /// Heartbeat pass, at the heartbeat cadence: pings clients with jobs
+  /// in flight, reaps the silent ones, then ticks the mesh hooks.
+  void on_tick(TimePoint now) override;
 
   /// kJobSubmit frames seen so far, including duplicates (tests/monitoring).
   [[nodiscard]] std::uint64_t submissions() const {
@@ -180,11 +181,6 @@ class ServeFrontEnd {
   /// kRejuvenate commands executed so far (docs/REJUV.md).
   [[nodiscard]] std::uint64_t rejuvenations() const {
     return rejuvenations_.load(std::memory_order_relaxed);
-  }
-
-  /// Malformed frames dropped with an ANAHY-F00x diagnostic.
-  [[nodiscard]] std::uint64_t rejected_frames() const {
-    return rejected_frames_.load(std::memory_order_relaxed);
   }
 
   /// Duplicate submissions answered from the dedup cache.
@@ -207,28 +203,24 @@ class ServeFrontEnd {
     return clients_reaped_.load(std::memory_order_relaxed);
   }
 
-  /// Diagnostic of the most recently rejected frame ("" when none yet).
-  [[nodiscard]] std::string last_reject_diagnostic() const;
-
   /// Replies replayed from the mesh's replicated done-cache (a peer
   /// executed the key; this node answered without running anything).
   [[nodiscard]] std::uint64_t replica_hits() const {
     return replica_hits_.load(std::memory_order_relaxed);
   }
 
-  /// Jobs withdrawn by the start fence (kJobDoneWithdrawn replies sent).
-  [[nodiscard]] std::uint64_t withdrawn() const;
-
   /// kRejuvenate frames forwarded to the node they address (docs/MESH.md).
   [[nodiscard]] std::uint64_t rejuv_forwards() const {
     return rejuv_forwards_.load(std::memory_order_relaxed);
   }
 
-  /// Microseconds since `client` last proved liveness here (submit, pong,
-  /// stats query, rejuvenate or ping); -1 when never heard from. The mesh
-  /// start fence reads this to decide whether the submitting router is
-  /// still listening (docs/MESH.md).
-  [[nodiscard]] std::int64_t last_seen_age_us(std::uint32_t client) const;
+  /// Microseconds from the last time `client` proved liveness here
+  /// (submit, pong, stats query, rejuvenate or ping) to `now`, never
+  /// negative; -1 when never heard from. The mesh start fence reads this
+  /// to decide whether the submitting router is still listening
+  /// (docs/MESH.md).
+  [[nodiscard]] std::int64_t last_seen_age_us(std::uint32_t client,
+                                              TimePoint now) const;
 
   /// The front-end's own hardening state as exposition rows — heartbeat
   /// and reap totals, retransmit/duplicate counts, dedup-window and
@@ -240,15 +232,15 @@ class ServeFrontEnd {
   /// Injects a migrated job as if its kJobSubmit frame had just arrived
   /// (same dedup, same reply path — the original client answers it), but
   /// never exportable again: a job migrates at most once, so it cannot
-  /// bounce back to a victim whose migrated set would suppress it.
-  /// Front-end pump thread only (mesh::MeshNode calls it while handling a
-  /// kJobMigrate grant, which runs on that thread).
+  /// bounce back to a victim whose migrated set would suppress it. The
+  /// import proves nothing about the client, so its silence clock is left
+  /// alone. Pump thread only (mesh::MeshNode calls it while handling a
+  /// kJobMigrate grant).
   void inject_submit(JobSubmitMsg msg) {
-    handle_submit(std::move(msg), /*exportable=*/false);
+    handle_submit(std::move(msg), /*from=*/std::nullopt);
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
   using Key = std::pair<std::uint32_t, std::uint64_t>;  // client, request id
 
   /// State shared between this object and the per-job completion
@@ -261,10 +253,9 @@ class ServeFrontEnd {
     std::map<Key, std::vector<std::uint8_t>> done_cache;  ///< encoded replies
     std::deque<Key> done_order;                           ///< FIFO eviction
     std::map<Key, anahy::serve::JobHandle> inflight;
-    std::map<std::uint32_t, Clock::time_point> last_seen;  ///< per client
+    std::map<std::uint32_t, TimePoint> last_seen;  ///< per client
     std::uint64_t send_failures = 0;
     std::uint64_t withdrawn = 0;  ///< start-fence refusals (kJobDoneWithdrawn)
-    std::string last_reject;
 
     /// Sends under `mu`, swallowing transport errors (a severed TCP peer
     /// throws; the reply is then simply lost and the client's retry path
@@ -276,26 +267,21 @@ class ServeFrontEnd {
     void record_done_locked(const Key& key, std::vector<std::uint8_t> frame);
   };
 
-  void pump();
-  /// Pump-thread receive with a slice bounded by the heartbeat cadence.
-  /// Uses `transport_` directly (no Link lock): the pump thread is joined
-  /// before stop() detaches the transport, so it can never race teardown.
-  bool transport_recv(std::vector<std::uint8_t>& frame);
-  void handle_submit(JobSubmitMsg msg, bool exportable = true);
-  void handle_stats_query(const StatsQueryMsg& msg);
-  void handle_rejuvenate(const RejuvenateMsg& msg);
-  void heartbeat(Clock::time_point now);
+  /// `from` is the arrival time of a wire submit (it proves the client's
+  /// liveness); nullopt for an imported job.
+  void handle_submit(JobSubmitMsg msg, std::optional<TimePoint> from);
+  void handle_stats_query(TimePoint now, const StatsQueryMsg& msg);
+  void handle_rejuvenate(TimePoint now, const RejuvenateMsg& msg);
+  void heartbeat(TimePoint now);
 
   anahy::serve::JobServer& server_;
   Transport& transport_;
   const Registry& registry_;
   FrontEndOptions opts_;
   std::shared_ptr<Link> link_;
-  std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> submissions_{0};
   std::atomic<std::uint64_t> stats_queries_{0};
   std::atomic<std::uint64_t> rejuvenations_{0};
-  std::atomic<std::uint64_t> rejected_frames_{0};
   std::atomic<std::uint64_t> retransmits_{0};
   std::atomic<std::uint64_t> duplicates_suppressed_{0};
   std::atomic<std::uint64_t> pings_sent_{0};
@@ -303,20 +289,23 @@ class ServeFrontEnd {
   std::atomic<std::uint64_t> replica_hits_{0};
   std::atomic<std::uint64_t> rejuv_forwards_{0};
   std::uint64_t ping_token_ = 0;  // pump thread only
-  std::thread pump_;
 };
+
+/// The front-end with its pump running from construction on.
+using ServeFrontEnd = Pumped<FrontEndCore>;
 
 /// Client side: submits registered functions to a remote front-end and
 /// collects replies. Many requests can be in flight on ONE transport
 /// endpoint, submitted from any number of threads.
 ///
-/// Thread-safe. An internal pump thread owns the receive side (honoring
-/// the transport's one-receiver rule), resolves futures and callbacks,
-/// answers heartbeat pings, and retransmits unanswered requests under the
-/// same request id as its RequestTable decides. Retries therefore stay
-/// exactly-once through the server's dedup window, and every request
-/// resolves definitely (kUnreachable on give-up, never a hang, never a
-/// throw on transport failure).
+/// The core: its RequestTable (retries under the same request id, so they
+/// stay exactly-once through the server's dedup window, and kUnreachable
+/// at the deadline) moves only when its caller passes it `now`; each entry
+/// point stamps its request with the `now` it is given, the current time
+/// by default. AsyncServeClient runs it under its pump, which owns the
+/// receive side, resolves futures and callbacks, answers heartbeat pings
+/// and retransmits every millisecond tick. Never throws on transport
+/// failure.
 ///
 /// Concurrent submissions share the socket and, on the epoll wire path
 /// (docs/WIRE.md), coalesce into writev batches instead of serializing on
@@ -326,7 +315,7 @@ class ServeFrontEnd {
 /// submissions still pending at destruction, on the destructing thread):
 /// keep them short and never call back into blocking client methods from
 /// one.
-class AsyncServeClient {
+class ServeClientCore : public FrameRole {
  public:
   struct Reply {
     int error = 0;            ///< anahy::Error numbering (incl. kUnreachable)
@@ -342,15 +331,17 @@ class AsyncServeClient {
 
   /// `seed` drives the retry jitter (deterministic per client). The
   /// transport must outlive this object.
-  AsyncServeClient(Transport& transport, int server_node,
-                   std::uint64_t seed = 0x9E3779B97F4A7C15ull);
+  ServeClientCore(Transport& transport, int server_node,
+                  std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
   /// Stops the pump and resolves every outstanding future/callback with
   /// kUnreachable.
-  ~AsyncServeClient();
+  ~ServeClientCore() override;
 
-  AsyncServeClient(const AsyncServeClient&) = delete;
-  AsyncServeClient& operator=(const AsyncServeClient&) = delete;
+  void on_frame(TimePoint now, Message msg) override;
+  /// Retransmits what is due and resolves what expired (kUnreachable);
+  /// the pump ticks every millisecond.
+  void on_tick(TimePoint now) override;
 
   /// Submits and returns immediately with a future that resolves exactly
   /// once — kOk/kFaulted/... from the server, or kUnreachable when the
@@ -361,7 +352,7 @@ class AsyncServeClient {
       const CallOptions& copts = CallOptions{},
       anahy::Priority priority = anahy::Priority::kNormal,
       std::int64_t timeout_ns = -1, bool check = false,
-      Callback callback = nullptr);
+      Callback callback = nullptr, TimePoint now = Clock::now());
 
   /// Blocking convenience: submit_async(...).get(). May run from many
   /// threads concurrently — each caller parks on its own future while the
@@ -369,13 +360,18 @@ class AsyncServeClient {
   Reply call(const std::string& function, std::vector<std::uint8_t> payload,
              const CallOptions& copts = CallOptions{},
              anahy::Priority priority = anahy::Priority::kNormal,
-             std::int64_t timeout_ns = -1, bool check = false);
+             std::int64_t timeout_ns = -1, bool check = false) {
+    return submit_async(function, std::move(payload), copts, priority,
+                        timeout_ns, check)
+        .get();
+  }
 
   /// Blocking telemetry pull (kStatsQuery) under the same retry envelope.
   /// Returns kOk with the exposition text in `out`, or kUnreachable on
   /// give-up (`out` untouched). A retried pull re-renders the exposition
   /// server-side, which is harmless.
-  int query_stats(std::string& out, const CallOptions& copts = CallOptions{});
+  int query_stats(std::string& out, const CallOptions& copts = CallOptions{},
+                  TimePoint now = Clock::now());
 
   /// Operator command: run one online rejuvenation cycle on the remote
   /// server (kRejuvenate frame; docs/REJUV.md). Same envelope as
@@ -388,7 +384,8 @@ class AsyncServeClient {
   /// the addressed node replies directly. kRejuvTargetSelf cycles the
   /// connected server itself.
   int rejuvenate(std::string& out, const CallOptions& copts = CallOptions{},
-                 std::uint32_t target = kRejuvTargetSelf);
+                 std::uint32_t target = kRejuvTargetSelf,
+                 TimePoint now = Clock::now());
 
   /// Requests currently awaiting a reply.
   [[nodiscard]] std::size_t inflight() const;
@@ -397,22 +394,12 @@ class AsyncServeClient {
   [[nodiscard]] std::uint64_t retries() const {
     return retries_.load(std::memory_order_relaxed);
   }
-  /// Malformed frames dropped with an ANAHY-F00x diagnostic.
-  [[nodiscard]] std::uint64_t rejected_frames() const {
-    return rejected_frames_.load(std::memory_order_relaxed);
-  }
-  /// kPing probes answered with a kPong.
-  [[nodiscard]] std::uint64_t pings_answered() const {
-    return pings_answered_.load(std::memory_order_relaxed);
-  }
   /// Reply frames for ids no longer pending (duplicates/latecomers).
   [[nodiscard]] std::uint64_t duplicate_replies() const {
     return duplicate_replies_.load(std::memory_order_relaxed);
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   /// What resolves one in-flight request; its frame, reply type and
   /// retry envelope live in the request table.
   struct Pending {
@@ -425,27 +412,29 @@ class AsyncServeClient {
     return next_request_.fetch_add(1, std::memory_order_relaxed);
   }
   /// The one start path of every request: registers `frame` (encoded under
-  /// `id`, answered by a `reply` frame) and sends its first attempt.
-  std::future<Reply> start(std::uint64_t id, std::vector<std::uint8_t> frame,
+  /// `id`, answered by a `reply` frame) at `now` and sends its first
+  /// attempt.
+  std::future<Reply> start(TimePoint now, std::uint64_t id,
+                           std::vector<std::uint8_t> frame,
                            const CallOptions& copts, MsgType reply,
                            Callback callback);
-
-  void pump();
-  void handle_frame(const std::vector<std::uint8_t>& frame);
   /// Resolves `p` (already out of the table) with `r`.
   static void resolve(Pending&& p, Reply r);
+  /// This client's rank: the id every frame it sends carries.
+  [[nodiscard]] std::uint32_t self() const {
+    return static_cast<std::uint32_t>(transport_.node_id());
+  }
 
   Transport& transport_;
   int server_node_;
   mutable std::mutex mu_;  ///< guards table_
-  RequestTable<Pending, Clock::time_point> table_;
+  RequestTable<Pending, TimePoint> table_;
   std::atomic<std::uint64_t> next_request_{1};
-  std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> rejected_frames_{0};
-  std::atomic<std::uint64_t> pings_answered_{0};
   std::atomic<std::uint64_t> duplicate_replies_{0};
-  std::thread pump_;
 };
+
+/// The client with its pump running from construction to destruction.
+using AsyncServeClient = Pumped<ServeClientCore>;
 
 }  // namespace cluster
