@@ -3,6 +3,10 @@
 // deque. These quantify the "no thread is created" claim at the
 // microsecond scale (an athread_create is a queue push, not a clone()).
 #include <benchmark/benchmark.h>
+#include <time.h>
+
+#include <atomic>
+#include <cstdint>
 
 #include "anahy/anahy.hpp"
 #include "anahy/policy_steal.hpp"
@@ -166,6 +170,54 @@ void BM_FibTaskPerCall(benchmark::State& state) {
     benchmark::DoNotOptimize(bench_fib(rt, static_cast<long>(state.range(0))));
 }
 BENCHMARK(BM_FibTaskPerCall)->Arg(12)->Arg(16);
+
+std::int64_t process_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return std::int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+}
+
+/// The served-job shape: fib(n) forked from inside a detached root task
+/// that a worker VP runs, so every fork pushes to a VP-owned deque and the
+/// two workers trade tasks by stealing. (BM_FibTaskPerCall forks from the
+/// main thread instead.) Main only submits the root and sleeps until it
+/// is done. cpu_ns_per_task is process CPU time over tasks created, so
+/// the idle VP's steal sweeps and the handoff count against each task.
+void BM_FibInsideRoot(benchmark::State& state) {
+  anahy::Runtime rt(anahy::Options{.num_vps = 2, .main_participates = false});
+  struct Root {
+    anahy::Runtime* rt;
+    long n;
+    long result = 0;
+    std::atomic<bool> done{false};
+  };
+  anahy::TaskAttributes detached;
+  detached.set_join_number(0);
+  // One Root for the whole run: a finishing body may still be inside
+  // notify_one when main moves on, so the flag must outlive the iteration.
+  Root root{&rt, static_cast<long>(state.range(0))};
+  const std::uint64_t tasks0 = rt.stats().tasks_created;
+  const std::int64_t cpu0 = process_cpu_ns();
+  for (auto _ : state) {
+    root.done.store(false, std::memory_order_relaxed);
+    rt.fork(
+        [](void* p) -> void* {
+          auto* r = static_cast<Root*>(p);
+          r->result = bench_fib(*r->rt, r->n);
+          r->done.store(true, std::memory_order_release);
+          r->done.notify_one();
+          return nullptr;
+        },
+        &root, detached);
+    root.done.wait(false, std::memory_order_acquire);
+    benchmark::DoNotOptimize(root.result);
+  }
+  const std::int64_t cpu = process_cpu_ns() - cpu0;
+  const std::uint64_t tasks = rt.stats().tasks_created - tasks0;
+  state.counters["cpu_ns_per_task"] =
+      tasks == 0 ? 0.0 : static_cast<double>(cpu) / static_cast<double>(tasks);
+}
+BENCHMARK(BM_FibInsideRoot)->Arg(16);
 
 }  // namespace
 

@@ -11,12 +11,13 @@ using Field = std::uint64_t VpCounters::*;
 /// The VpCounters field of each slot counter, in Telemetry::Counter order.
 /// Every one but the depth peak (a high-water mark) adds up across slots
 /// and subtracts across snapshots; so does the derived `joins`.
-constexpr std::array<Field, 18> kSlotFields = {
+constexpr std::array<Field, 21> kSlotFields = {
     &VpCounters::forks,           &VpCounters::joins_immediate,
     &VpCounters::joins_inlined,   &VpCounters::joins_helped,
     &VpCounters::joins_slept,     &VpCounters::continuations,
     &VpCounters::tasks_run,       &VpCounters::tasks_finished,
-    &VpCounters::tasks_run_by_main,
+    &VpCounters::tasks_retired,   &VpCounters::flows_unblocked,
+    &VpCounters::flows_resumed,   &VpCounters::tasks_run_by_main,
     &VpCounters::steal_attempts,  &VpCounters::steal_successes,
     &VpCounters::idle_spins,      &VpCounters::idle_parks,
     &VpCounters::idle_park_ns,    &VpCounters::deque_depth_sum,

@@ -7,7 +7,10 @@
 //   - fork / run / continuation events and joins by category (scheduler),
 //   - steal attempts and successes per thief (work-stealing policy),
 //   - idle spins and parks, with parked nanoseconds (VP wait loop),
-//   - ready-deque depth samples at push time (policy).
+//   - ready-deque depth samples at push time (policy),
+//   - exits from the paper's FINISHED, BLOCKED and UNBLOCKED lists
+//     (scheduler), so those list sizes are differences of monotonic
+//     counters and no list gauge is a shared line written per task.
 //
 // Its totals are Runtime::stats(); its per-VP slots answer what an operator
 // of a serving deployment asks: *which VP* is starving, how much of the
@@ -55,6 +58,16 @@ struct VpCounters {
   std::uint64_t continuations = 0;  ///< logical T_i -> T_{i+1} flow splits
   std::uint64_t tasks_run = 0;       ///< counted before the body runs
   std::uint64_t tasks_finished = 0;  ///< counted after the body returned
+  /// Tasks that left the FINISHED list: a joinable task when its last join
+  /// consumed it, a detached one as it finished. tasks_finished minus this
+  /// is the FINISHED list.
+  std::uint64_t tasks_retired = 0;
+  /// Blocked flows whose join target finished (or whose budget raced
+  /// away). continuations minus this is the BLOCKED list.
+  std::uint64_t flows_unblocked = 0;
+  /// Unblocked flows that consumed their target and resumed.
+  /// flows_unblocked minus this is the UNBLOCKED list.
+  std::uint64_t flows_resumed = 0;
   /// Runs by a thread that is not a worker VP (main or a foreign helper).
   std::uint64_t tasks_run_by_main = 0;
   std::uint64_t steal_attempts = 0;
@@ -124,6 +137,9 @@ class Telemetry {
     if (by_main) add(vp, kTasksRunByMain, 1);
   }
   void on_task_finished(int vp) { add(vp, kTasksFinished, 1); }
+  void on_task_retired(int vp) { add(vp, kTasksRetired, 1); }
+  void on_flow_unblocked(int vp) { add(vp, kFlowsUnblocked, 1); }
+  void on_flow_resumed(int vp) { add(vp, kFlowsResumed, 1); }
   void on_steal_attempt(int vp) { add(vp, kStealAttempts, 1); }
   void on_steal_success(int vp) { add(vp, kStealSuccesses, 1); }
   void on_idle_spin(int vp) { add(vp, kIdleSpins, 1); }
@@ -153,6 +169,9 @@ class Telemetry {
     kContinuations,
     kTasksRun,
     kTasksFinished,
+    kTasksRetired,
+    kFlowsUnblocked,
+    kFlowsResumed,
     kTasksRunByMain,
     kStealAttempts,
     kStealSuccesses,

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "anahy/task.hpp"
@@ -29,6 +30,12 @@ class Telemetry;
 class SchedulingPolicy {
  public:
   static constexpr int kExternalVp = -1;
+
+  /// Sampling period of the kernel's ready-list gauges: one deque-depth
+  /// sample per this many pushes per slot, and one ready-peak reading per
+  /// this many forks per thread. They are statistical gauges; reading them
+  /// on every push or fork costs the hottest path for no extra information.
+  static constexpr std::uint32_t kDepthSampleStride = 16;
 
   virtual ~SchedulingPolicy() = default;
 

@@ -67,11 +67,6 @@ class WorkStealingPolicy final : public SchedulingPolicy {
   /// task, keeping finished tasks alive for the whole run.
   static constexpr std::size_t kStalePurgeThreshold = 64;
 
-  /// Telemetry deque-depth sampling period: one sample per this many
-  /// pushes per slot. Depth is a statistical gauge; sampling every push
-  /// costs an outlined call on the hottest path for no extra information.
-  static constexpr std::uint32_t kDepthSampleStride = 16;
-
  private:
   static constexpr std::size_t kClasses = kNumPriorities;
 

@@ -16,6 +16,7 @@ thread_local std::uint64_t Scheduler::tls_root_owner_ = 0;
 thread_local int Scheduler::tls_vp_ = SchedulingPolicy::kExternalVp;
 thread_local std::uint64_t Scheduler::tls_vp_owner_ = 0;
 thread_local bool Scheduler::tls_worker_ = false;
+thread_local std::uint32_t Scheduler::tls_fork_tick_ = 0;
 
 namespace {
 std::atomic<std::uint64_t> g_scheduler_instances{0};
@@ -128,7 +129,7 @@ TaskPtr Scheduler::create_task(TaskBody body, void* input,
   const bool explicit_ctx = ctx != nullptr;
   const Frame f = explicit_ctx ? Frame{} : current_frame();
   if (!explicit_ctx && f.task != nullptr) ctx = f.task->context();
-  const TaskId id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  const TaskId id = next_id_.value.fetch_add(1, std::memory_order_relaxed);
   // allocate_shared + the pool allocator: one block per task (control block
   // and Task fused), served from the forking thread's free-list cache.
   auto task =
@@ -176,10 +177,13 @@ TaskPtr Scheduler::create_task(TaskBody body, void* input,
   // and retires the task instantly always finds the registry entry.
   register_task(task);
   policy_->push(task, vp);
-  record_ready_len(policy_->approx_size());
+  // approx_size reads every slot's ready bank: sample it (the first fork
+  // of each thread, then one in the stride).
+  if (tls_fork_tick_++ % SchedulingPolicy::kDepthSampleStride == 0)
+    record_ready_len(policy_->approx_size());
   tele_.on_fork(vp);
-  // Eventcount notifies: a couple of atomic ops when nobody sleeps; the
-  // condvar is only touched for genuinely idle VPs/joiners.
+  // Eventcount notifies: a fence and a load when nobody sleeps; the epoch
+  // and the condvar are only touched for genuinely idle VPs/joiners.
   ready_ec_.notify_one();
   join_ec_.notify_all();  // blocked joiners may help with the new task
   return task;
@@ -350,13 +354,12 @@ void Scheduler::run_task(const TaskPtr& task, int vp) {
   }
 
   if (task->attributes().join_number() == 0) {
-    // Detached task: nobody may join it; reclaim immediately.
+    // Detached task: nobody may join it; reclaim immediately. It leaves
+    // the FINISHED list as it enters it.
     task->set_state(TaskState::kJoined);
     retire(task.get());
+    tele_.on_task_retired(vp);
   } else {
-    // The increment must precede the kFinished release store: a joiner
-    // that acquire-reads kFinished and later decrements cannot underflow.
-    finished_count_.fetch_add(1, std::memory_order_relaxed);
     task->set_state(TaskState::kFinished);  // release: publishes the result
   }
   join_ec_.notify_all();
@@ -373,7 +376,7 @@ int Scheduler::try_consume(const TaskPtr& task, void** result,
     // already woken by the finish and re-checks the state.
     task->set_state(TaskState::kJoined);
     retire(task.get());
-    finished_count_.fetch_sub(1, std::memory_order_relaxed);
+    tele_.on_task_retired(bound_vp());
   }
   if (detector_ != nullptr) {
     // The join edge orders the target's whole execution before this flow's
@@ -437,7 +440,8 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
   tele_.on_continuation(bound_vp());
   if (trace_.enabled()) {
     Frame& f = current_frame();
-    const TaskId cont_id = next_id_.fetch_add(1, std::memory_order_relaxed);
+    const TaskId cont_id =
+        next_id_.value.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t job =
         f.task != nullptr && f.task->context() != nullptr
             ? f.task->context()->job
@@ -451,25 +455,26 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
   const bool may_help =
       vp != SchedulingPolicy::kExternalVp || opts_.external_helps;
   // What this join did while blocked; it picks the join's one category
-  // when the target is finally consumed.
+  // when the target is finally consumed. The flow is BLOCKED from the
+  // continuation count above until it counts as unblocked, and UNBLOCKED
+  // until it counts as resumed.
   bool ran_target = false;
   bool ran_other = false;
-  blocked_frames_.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     TaskState s = task->state();
     if (s == TaskState::kJoined) {
-      blocked_frames_.fetch_sub(1, std::memory_order_relaxed);
+      tele_.on_flow_unblocked(bound_vp());
+      tele_.on_flow_resumed(bound_vp());
       record_double_join(*task);
       return kNotFound;  // join budget raced away
     }
     if (s == TaskState::kFinished) {
-      blocked_frames_.fetch_sub(1, std::memory_order_relaxed);
-      unblocked_frames_.fetch_add(1, std::memory_order_relaxed);
+      tele_.on_flow_unblocked(bound_vp());
       const int rc = try_consume(task, result,
                                  ran_target  ? JoinKind::kInlined
                                  : ran_other ? JoinKind::kHelped
                                              : JoinKind::kSlept);
-      unblocked_frames_.fetch_sub(1, std::memory_order_relaxed);
+      tele_.on_flow_resumed(bound_vp());
       if (rc == kNotFound) record_double_join(*task);
       return rc;
     }
@@ -495,7 +500,7 @@ int Scheduler::join(const TaskPtr& task, void** result, int vp) {
     s = task->state();
     if (s == TaskState::kFinished || s == TaskState::kJoined ||
         (may_help && policy_->approx_size() > 0)) {
-      join_ec_.cancel_wait();
+      join_ec_.cancel_wait(e);
       continue;
     }
     join_ec_.commit_wait(e);
@@ -543,13 +548,13 @@ TaskPtr Scheduler::wait_for_task(int vp, const std::stop_token& st) {
     tele_.on_idle_spin(vp);
     const EventCount::Epoch e = ready_ec_.prepare_wait();
     if (st.stop_requested()) {
-      ready_ec_.cancel_wait();
+      ready_ec_.cancel_wait(e);
       return nullptr;
     }
     // Re-check after announcing ourselves: a producer that pushed before
-    // reading the waiter count is now guaranteed visible here.
+    // reading the eventcount state is now guaranteed visible here.
     if (TaskPtr task = policy_->pop(vp)) {
-      ready_ec_.cancel_wait();
+      ready_ec_.cancel_wait(e);
       return task;
     }
     // Committing to sleep is the cold path, so the two extra clock reads
@@ -585,12 +590,12 @@ void Scheduler::drain() {
     if (t.tasks_finished >= t.forks) return;
     const EventCount::Epoch e = join_ec_.prepare_wait();
     if (policy_->approx_size() > 0) {
-      join_ec_.cancel_wait();
+      join_ec_.cancel_wait(e);
       continue;
     }
     const observe::VpCounters t2 = tele_.totals();
     if (t2.tasks_finished >= t2.forks) {
-      join_ec_.cancel_wait();
+      join_ec_.cancel_wait(e);
       return;
     }
     join_ec_.commit_wait(e);
@@ -598,11 +603,17 @@ void Scheduler::drain() {
 }
 
 Scheduler::ListSnapshot Scheduler::lists() const {
+  // Entries minus exits, each side summed over the VP slots. A sum taken
+  // while tasks move may read an exit before its entry; clamp at zero.
+  const auto size = [](std::uint64_t in, std::uint64_t out) {
+    return static_cast<std::size_t>(in > out ? in - out : 0);
+  };
+  const observe::VpCounters t = tele_.totals();
   ListSnapshot s;
   s.ready = policy_->approx_size();
-  s.finished = finished_count_.load(std::memory_order_relaxed);
-  s.blocked = blocked_frames_.load(std::memory_order_relaxed);
-  s.unblocked = unblocked_frames_.load(std::memory_order_relaxed);
+  s.finished = size(t.tasks_finished, t.tasks_retired);
+  s.blocked = size(t.continuations, t.flows_unblocked);
+  s.unblocked = size(t.flows_unblocked, t.flows_resumed);
   return s;
 }
 
@@ -636,7 +647,7 @@ RuntimeStats::Snapshot Scheduler::stats_snapshot() const {
   out.steals = t.steal_successes;
   out.steal_attempts = t.steal_attempts;
   out.tasks_run_by_main = t.tasks_run_by_main;
-  out.ready_peak = ready_peak_.load(std::memory_order_relaxed);
+  out.ready_peak = ready_peak_.value.load(std::memory_order_relaxed);
   out.wakeups = ready_ec_.wakeups() + join_ec_.wakeups();
   out.wakeups_skipped = ready_ec_.wakeups_skipped() + join_ec_.wakeups_skipped();
   return out;

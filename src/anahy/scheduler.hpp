@@ -23,8 +23,13 @@
 //  - the live-task registry is sharded (kRegistryShards buckets keyed by
 //    TaskId, each with its own small mutex), so create/find/retire of
 //    different tasks never contend;
-//  - sleeping uses eventcounts: spawn and finish bump an epoch and only
-//    touch a condvar when some VP/joiner is actually asleep.
+//  - sleeping uses eventcounts: spawn and finish read a state word and
+//    only bump an epoch and touch a condvar when some VP/joiner waits
+//    and has not been woken yet;
+//  - the FINISHED/BLOCKED/UNBLOCKED list sizes are differences of per-VP
+//    telemetry counters, and each atomic the fork/join path still writes
+//    (the id counter, the ready-peak mark, the eventcounts, the registry
+//    shards) owns its cache line, so two busy VPs share no written line.
 #pragma once
 
 #include <array>
@@ -71,7 +76,9 @@ class Scheduler {
     bool profile = false;
   };
 
-  /// Sizes of the four task lists at one instant (monitoring/tests).
+  /// Sizes of the four task lists (monitoring/tests). Each is summed from
+  /// per-VP counters, so a snapshot racing running tasks may be off by the
+  /// in-flight transitions; once the runtime is quiescent it is exact.
   struct ListSnapshot {
     std::size_t ready = 0;
     std::size_t finished = 0;
@@ -236,7 +243,7 @@ class Scheduler {
   /// kept alive by Task::registry_guard_). Insert and unlink are O(1) and
   /// allocation-free — a map node per task costs ~10% of a fine-grained
   /// task — while find() (the by-id join path only) walks the bucket.
-  struct Shard {
+  struct alignas(kCacheLine) Shard {
     mutable ShardLock mu;
     Task* head = nullptr;
   };
@@ -261,10 +268,10 @@ class Scheduler {
 
   /// Raises the ready-list high-water mark to `len` if it is higher.
   void record_ready_len(std::uint64_t len) {
-    std::uint64_t peak = ready_peak_.load(std::memory_order_relaxed);
+    std::atomic<std::uint64_t>& mark = ready_peak_.value;
+    std::uint64_t peak = mark.load(std::memory_order_relaxed);
     while (len > peak &&
-           !ready_peak_.compare_exchange_weak(peak, len,
-                                              std::memory_order_relaxed)) {
+           !mark.compare_exchange_weak(peak, len, std::memory_order_relaxed)) {
     }
   }
 
@@ -293,6 +300,9 @@ class Scheduler {
   static thread_local int tls_vp_;
   static thread_local std::uint64_t tls_vp_owner_;
   static thread_local bool tls_worker_;
+  /// Forks by the calling thread; ready_peak is sampled on one in
+  /// SchedulingPolicy::kDepthSampleStride of them.
+  static thread_local std::uint32_t tls_fork_tick_;
 
   const std::uint64_t instance_id_;
 
@@ -303,14 +313,19 @@ class Scheduler {
   std::unique_ptr<check::Detector> detector_;
   std::unique_ptr<observe::SpanProfiler> profiler_;  // null = profiling off
 
+  // Every member below is written from the fork/join path of any VP, so
+  // each owns its cache line (the static_assert below fails the build
+  // otherwise).
   std::array<Shard, kRegistryShards> shards_;
   EventCount ready_ec_;  // workers waiting for ready tasks
   EventCount join_ec_;   // joiners waiting for a finish (or for help work)
-  std::atomic<TaskId> next_id_{1};  // 0 is the root flow
-  std::atomic<std::size_t> finished_count_{0};
-  std::atomic<std::size_t> blocked_frames_{0};
-  std::atomic<std::size_t> unblocked_frames_{0};
-  std::atomic<std::uint64_t> ready_peak_{0};
+  OwnLine<std::atomic<TaskId>> next_id_{1};  // 0 is the root flow
+  OwnLine<std::atomic<std::uint64_t>> ready_peak_{0};
+
+  static_assert(kOwnsLine<Shard> && kOwnsLine<EventCount> &&
+                    kOwnsLine<decltype(next_id_)> &&
+                    kOwnsLine<decltype(ready_peak_)>,
+                "a hot scheduler atomic shares a cache line");
 };
 
 }  // namespace anahy

@@ -3,7 +3,9 @@
 // The counters themselves live in the scheduler's one counter bank,
 // observe::Telemetry (per-VP single-writer slots); Scheduler::stats_snapshot
 // folds the bank's totals, the ready-list high-water mark and the
-// eventcount wakeups into this struct.
+// eventcount wakeups into this struct. The bank's list-exit counters
+// (tasks_retired, flows_unblocked, flows_resumed) are not repeated here:
+// Scheduler::lists() turns them into the paper's list sizes.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +29,12 @@ struct RuntimeStats {
     std::uint64_t steals = 0;           ///< successful steals (steal policy)
     std::uint64_t steal_attempts = 0;
     std::uint64_t tasks_run_by_main = 0;
-    std::uint64_t ready_peak = 0;       ///< high-water mark of the ready list
-    std::uint64_t wakeups = 0;          ///< eventcount notifies with sleepers
-    std::uint64_t wakeups_skipped = 0;  ///< notifies skipped (nobody asleep)
+    /// High-water mark of the ready list, read on a thread's first fork
+    /// and then on one in 16 (SchedulingPolicy::kDepthSampleStride).
+    std::uint64_t ready_peak = 0;
+    std::uint64_t wakeups = 0;          ///< eventcount notifies that woke
+    /// Notifies skipped: nobody waiting, or every waiter already woken.
+    std::uint64_t wakeups_skipped = 0;
 
     [[nodiscard]] std::string to_string() const;
   };

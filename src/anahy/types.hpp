@@ -6,6 +6,24 @@
 
 namespace anahy {
 
+/// Cache-line size the runtime pads its hot shared atomics to. Two VPs
+/// writing one line on every fork pay a coherence miss per write, so each
+/// atomic the fork/join path writes owns a line (docs/SCHEDULER.md).
+inline constexpr std::size_t kCacheLine = 64;
+
+/// `T` alone on a cache line: aligned to one and padded to its end, so no
+/// neighbouring member can share it.
+template <class T>
+struct alignas(kCacheLine) OwnLine {
+  T value;
+};
+
+/// True when every `T` starts a line of its own and, its size being a
+/// multiple of its alignment, fills it (the layout guard of the padded hot
+/// atomics).
+template <class T>
+inline constexpr bool kOwnsLine = alignof(T) >= kCacheLine;
+
 /// Unique, monotonically increasing task identifier. Id 0 is reserved for
 /// the implicit root flow (the paper's T0, i.e. the program's main flow).
 using TaskId = std::uint64_t;

@@ -327,12 +327,15 @@ void RouterCore::on_tick(TimePoint now) {
     });
   }
 
-  // Deadlines and retransmissions (a parked key waits for a heal).
+  // Deadlines and retransmissions. A parked key, and a started key pinned
+  // to a reaped node, wait for the heal, which retransmits them itself.
   auto due = table_.tick(now);
   for (auto& [rid, r] : due.expired) expire_locked(rid, r);
   for (auto& [rid, frame] : due.resend) {
     const Route* r = table_.find(rid, MsgType::kJobDone);
     if (r == nullptr || r->node == kNoNode) continue;
+    const auto node = nodes_.find(r->node);
+    if (node != nodes_.end() && !node->second.alive) continue;
     ++counters_.retries;
     send_soft(transport_, r->node, std::move(frame));
   }

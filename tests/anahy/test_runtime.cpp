@@ -299,6 +299,46 @@ TEST(Runtime, ListsDrainToEmpty) {
   EXPECT_EQ(lists.unblocked, 0u);
 }
 
+TEST(Runtime, ListGaugesAreExactAtQuiescenceOnFourVps) {
+  // The FINISHED, BLOCKED and UNBLOCKED sizes are per-VP entries minus
+  // exits, and at 4 VPs a flow often enters a list on one VP and leaves
+  // it on another. Once a fib(16) returns, every sum must close to zero.
+  Runtime rt(Options{.num_vps = 4});
+  std::function<int(int)> fib = [&](int n) -> int {
+    if (n < 2) return n;
+    auto h = spawn(rt, fib, n - 1);
+    const int b = fib(n - 2);
+    return h.join() + b;
+  };
+  for (int run = 0; run < 50; ++run) {
+    ASSERT_EQ(fib(16), 987);
+    const auto lists = rt.lists();
+    ASSERT_EQ(lists.ready, 0u) << "run " << run;
+    ASSERT_EQ(lists.finished, 0u) << "run " << run;
+    ASSERT_EQ(lists.blocked, 0u) << "run " << run;
+    ASSERT_EQ(lists.unblocked, 0u) << "run " << run;
+  }
+
+  // Five tasks finish on the workers and stay unjoined: FINISHED holds
+  // exactly them, and each join takes one out.
+  std::vector<TaskPtr> tasks;
+  for (int i = 0; i < 5; ++i)
+    tasks.push_back(rt.fork([](void*) -> void* { return nullptr; }, nullptr));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (const TaskPtr& t : tasks)
+    while (t->state() != TaskState::kFinished &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  for (const TaskPtr& t : tasks)
+    ASSERT_EQ(t->state(), TaskState::kFinished);
+  EXPECT_EQ(rt.lists().finished, 5u);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    ASSERT_EQ(rt.join(tasks[i], nullptr), kOk);
+    EXPECT_EQ(rt.lists().finished, 4 - i);
+  }
+}
+
 TEST(Runtime, FinishedListHoldsUnjoinedResults) {
   Runtime rt(Options{.num_vps = 1});
   // With 1 VP and main participating, nothing runs until we join; join the

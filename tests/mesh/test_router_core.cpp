@@ -156,6 +156,36 @@ TEST(RouterCore, HealUnparksAndRetransmits) {
   EXPECT_EQ(rig.core->counters().retries, retries + 1);
 }
 
+TEST(RouterCore, StartedKeyIsNotResentToAReapedNode) {
+  RouterRig rig(1);
+  rig.at(kT0);
+  const std::uint64_t pinned = rig.core->submit("f", {}, {}, kT0);
+  rig.started(0, pinned);
+  rig.at(kT0 + 1ms);
+  rig.at(kT0 + 200ms);  // silent past reap_after
+  ASSERT_EQ(rig.core->counters().reaps, 1u);
+  rig.inbox(0);
+
+  // A second of 1 ms ticks inside the key's deadline: its backoff slices
+  // pass many times over, and the dead node gets no copy of it.
+  const std::uint64_t retries = rig.core->counters().retries;
+  std::size_t resent = 0;
+  for (auto t = kT0 + 201ms; t <= kT0 + 1201ms; t += 1ms) {
+    rig.at(t);
+    resent += rig.submits(0).size();
+  }
+  EXPECT_EQ(resent, 0u) << "a started key was resent to a reaped node";
+  EXPECT_EQ(rig.core->counters().retries, retries);
+  ASSERT_FALSE(rig.core->done(pinned));
+
+  // The heal retransmits it exactly once.
+  rig.pong(0);
+  rig.core->pump().drain(kT0 + 1202ms);
+  ASSERT_EQ(rig.core->counters().heals, 1u);
+  EXPECT_EQ(rig.submits(0), std::vector<std::uint64_t>{pinned});
+  EXPECT_EQ(rig.core->counters().retries, retries + 1);
+}
+
 TEST(RouterCore, WithdrawalExcludesTheNodeAndReroutes) {
   RouterRig rig(3);
   rig.at(kT0);
